@@ -10,12 +10,12 @@
 ///   that congested state. Each PathFinder::connect call is timed
 ///   individually, giving connects/sec, MBFS vertices/sec and p50/p95
 ///   per-connect latency (nearest-rank percentiles). The sweep also runs
-///   on 2/4/8 threads (one private grid copy per thread, as the parallel
-///   engine's workers do) to expose allocator contention in the hot path;
-///   the threaded percentiles pool every thread's samples.
-/// * **Full route** — wall clock of the serial router and the parallel
-///   engine at 1/2/4/8 workers, with a bit-identity check against the
-///   serial result on every engine run.
+///   on 2/4/8 threads (one private grid copy per thread) to expose
+///   allocator contention in the hot path; the threaded percentiles pool
+///   every thread's samples.
+/// * **Full route** — wall clock of the serial router and the sharded
+///   parallel engine at 1/2/4/8 workers, with a bit-identity check
+///   against the serial result on every engine run.
 ///
 /// `--repeat N` (default 3) runs each timed section N times after one
 /// warm-up and reports the median. `--quick` shrinks the instance set and
@@ -109,34 +109,6 @@ Instance synthetic_instance(const char* name, geom::Coord size, int count,
   Instance inst{name, tig::TrackGrid::uniform(Rect(0, 0, size, size), 9, 11),
                 {}};
   inst.nets = random_nets(rng, size, count);
-  return inst;
-}
-
-/// The ami33-derived instance: the Table-1 synthetic ami33 floorplan
-/// assembled with fixed channel heights, all signal nets routed over-cell.
-Instance ami33_instance() {
-  const floorplan::MacroLayout ml =
-      bench_data::generate_macro_layout(bench_data::ami33_spec());
-  const std::vector<geom::Coord> heights(
-      static_cast<std::size_t>(ml.num_channels()), 60);
-  const netlist::Layout layout = ml.assemble(heights);
-  const geom::DesignRules& rules = layout.rules();
-  tig::TrackGrid grid = tig::TrackGrid::uniform(
-      layout.die(), rules.rule(geom::Layer::kMetal3).pitch(),
-      rules.rule(geom::Layer::kMetal4).pitch());
-  for (const netlist::Obstacle& ob : layout.obstacles()) {
-    if (ob.blocks_metal3) grid.block_region_h(ob.region);
-    if (ob.blocks_metal4) grid.block_region_v(ob.region);
-  }
-  Instance inst{"ami33", std::move(grid), {}};
-  for (std::size_t n = 0; n < layout.nets().size(); ++n) {
-    if (layout.nets()[n].net_class != netlist::NetClass::kSignal) continue;
-    auto pins = layout.net_pin_positions(
-        netlist::NetId(static_cast<std::uint32_t>(n)));
-    if (pins.size() < 2) continue;
-    inst.nets.push_back(
-        levelb::BNet{static_cast<int>(n), std::move(pins), false});
-  }
   return inst;
 }
 
@@ -277,7 +249,7 @@ ConnectRow connect_serial(const Prepared& p,
 }
 
 /// Multi-thread sweep: each thread runs the whole query list on its own
-/// grid copy (the engine worker pattern); wall = slowest thread. The last
+/// grid copy; wall = slowest thread. The last
 /// repeat records per-connect latencies on every thread; the percentiles
 /// come from the pooled samples, so p50/p95 reflect what any one connect
 /// experienced under contention rather than a single thread's view.
@@ -330,7 +302,7 @@ ConnectRow connect_parallel(const Prepared& p,
 // ---- full route ---------------------------------------------------------
 
 struct RouteRow {
-  std::string mode;  ///< "serial", "engine" (speculative) or "sharded"
+  std::string mode;  ///< "serial" or "sharded"
   int threads = 1;
   double wall_ms = 0.0;  ///< median across repeats
   bool identical = true;
@@ -339,11 +311,9 @@ struct RouteRow {
   // Engine work metrics (zero for the serial row). These are
   // hardware-independent: they gate scaling regressions even on hosts
   // where wall-clock speedup is noise (e.g. single-core CI runners).
-  long long speculation_aborts = 0;
-  long long wasted_vertices = 0;
-  long long grid_copies = 0;
-  long long batches = 0;        ///< sharded rows: batches dispatched
-  long long boundary_nets = 0;  ///< sharded rows: escapes re-routed
+  long long wasted_vertices = 0;  ///< discarded boundary-escape searches
+  long long batches = 0;          ///< batches dispatched
+  long long boundary_nets = 0;    ///< escapes re-routed
   double speedup_vs_1t = 0.0;  ///< same-mode-1-thread wall / this wall
   // Memory datapoints (chunked-storage accounting; see DESIGN.md §11).
   long long grid_bytes = 0;    ///< routed grid's occupancy bytes
@@ -371,17 +341,15 @@ RouteRow route_serial(const Instance& inst, int repeat,
   return row;
 }
 
-RouteRow route_engine(const Instance& inst, engine::EngineMode mode,
-                      int threads, int repeat,
-                      const levelb::LevelBResult& expected) {
-  RouteRow row{mode == engine::EngineMode::kSharded ? "sharded" : "engine",
-               threads};
+RouteRow route_sharded(const Instance& inst, int threads, int repeat,
+                       const levelb::LevelBResult& expected) {
+  RouteRow row{"sharded", threads};
   std::vector<double> walls;
   for (int r = 0; r <= repeat; ++r) {
     tig::TrackGrid grid = inst.grid;
     engine::EngineOptions options;
     options.threads = threads;
-    options.mode = mode;
+    options.mode = engine::EngineMode::kSharded;
     engine::RoutingEngine router(grid, options);
     const auto t0 = std::chrono::steady_clock::now();
     const levelb::LevelBResult result = router.route(inst.nets);
@@ -391,10 +359,7 @@ RouteRow route_engine(const Instance& inst, engine::EngineMode mode,
     row.routed = result.routed_nets;
     row.vertices = result.vertices_examined;
     const engine::EngineStats& stats = router.stats();
-    row.speculation_aborts = stats.speculation_aborts;
-    row.wasted_vertices =
-        stats.wasted_vertices + stats.sharded_wasted_vertices;
-    row.grid_copies = stats.grid_copies;
+    row.wasted_vertices = stats.sharded_wasted_vertices;
     row.batches = stats.batches;
     row.boundary_nets = stats.boundary_nets;
     row.grid_bytes = static_cast<long long>(grid.grid_bytes());
@@ -415,11 +380,10 @@ struct Config {
   bool connect_only = false;  ///< skip full-route rows (profiling aid)
 };
 
-/// Full-route comparison: serial baseline, then the speculative and
-/// sharded engine dispatches across the thread sweep. Every engine run is
-/// identity-checked against the serial result; speedup_vs_1t is relative
-/// to the same mode at 1 thread (= serial dispatch), which is what the CI
-/// scaling gate reads.
+/// Full-route comparison: serial baseline, then the sharded engine across
+/// the thread sweep. Every engine run is identity-checked against the
+/// serial result; speedup_vs_1t is relative to the engine at 1 thread
+/// (= serial dispatch), which is what the CI scaling gate reads.
 void run_route_rows(const Instance& inst, const Config& cfg,
                     util::TraceSink* json) {
   util::TextTable route_table;
@@ -435,25 +399,21 @@ void run_route_rows(const Instance& inst, const Config& cfg,
   // derivable from a single JSON capture (the CI smoke gate reads it).
   const std::vector<int> route_threads =
       cfg.quick ? std::vector<int>{1, 4} : std::vector<int>{1, 2, 4, 8};
-  for (const engine::EngineMode mode :
-       {engine::EngineMode::kSpeculative, engine::EngineMode::kSharded}) {
-    double mode_1t_ms = 0.0;
-    for (const int threads : route_threads) {
-      RouteRow row = route_engine(inst, mode, threads, cfg.repeat, expected);
-      if (threads == 1) mode_1t_ms = row.wall_ms;
-      row.speedup_vs_1t =
-          row.wall_ms > 0.0 && mode_1t_ms > 0.0 ? mode_1t_ms / row.wall_ms
-                                                : 0.0;
-      const bool sharded = mode == engine::EngineMode::kSharded;
-      route_table.add_row(
-          {row.mode, util::format("%d", threads),
-           util::format("%.1f", row.wall_ms),
-           util::format("%.2fx", serial.wall_ms / row.wall_ms),
-           row.identical ? "yes" : "NO", util::format("%d", row.routed),
-           sharded ? util::format("%lld", row.batches) : "-",
-           sharded ? util::format("%lld", row.boundary_nets) : "-"});
-      rows.push_back(row);
-    }
+  double one_thread_ms = 0.0;
+  for (const int threads : route_threads) {
+    RouteRow row = route_sharded(inst, threads, cfg.repeat, expected);
+    if (threads == 1) one_thread_ms = row.wall_ms;
+    row.speedup_vs_1t = row.wall_ms > 0.0 && one_thread_ms > 0.0
+                            ? one_thread_ms / row.wall_ms
+                            : 0.0;
+    route_table.add_row(
+        {row.mode, util::format("%d", threads),
+         util::format("%.1f", row.wall_ms),
+         util::format("%.2fx", serial.wall_ms / row.wall_ms),
+         row.identical ? "yes" : "NO", util::format("%d", row.routed),
+         util::format("%lld", row.batches),
+         util::format("%lld", row.boundary_nets)});
+    rows.push_back(row);
   }
   std::printf("Full route (%d repeats, median)\n", cfg.repeat);
   std::fputs(route_table.render().c_str(), stdout);
@@ -469,11 +429,9 @@ void run_route_rows(const Instance& inst, const Config& cfg,
           .add("routed_nets", row.routed)
           .add("vertices", static_cast<long long>(row.vertices))
           .add("speedup_vs_1t", row.speedup_vs_1t)
-          .add("speculation_aborts", row.speculation_aborts)
           .add("wasted_vertices", row.wasted_vertices)
           .add("batches", row.batches)
           .add("boundary_nets", row.boundary_nets)
-          .add("grid_copies", row.grid_copies)
           .add("grid_bytes", row.grid_bytes)
           .add("peak_rss_kb", row.peak_rss_kb)
           .add("gap_cache", cfg.gap_cache);
@@ -590,7 +548,12 @@ int main(int argc, char** argv) {
   if (!cfg.quick) {
     instances.push_back(synthetic_instance("dense-700", 700, 140, 7));
   }
-  instances.push_back(ami33_instance());
+  {
+    bench_data::LevelBInstance ami33 = bench_data::ami33_levelb_instance();
+    instances.push_back(Instance{std::move(ami33.name),
+                                 std::move(ami33.grid),
+                                 std::move(ami33.nets)});
+  }
   // The scaling headliner: ~1.2k local nets on a 5000-dbu die. Full-route
   // rows only (its connect sweep would dwarf the others without adding
   // signal), in quick mode too — the CI sharded-speedup gate reads it.

@@ -1,7 +1,7 @@
 /// \file bench_scaling.cpp
 /// \brief Scaling studies: the paper's §3.4 complexity claims (storage
 /// O(h*v), time O(n*h*v)) plus the engine's thread-scaling behaviour —
-/// serial router vs the speculative parallel engine at 1/2/4/8 workers,
+/// serial router vs the sharded parallel engine at 1/2/4/8 workers,
 /// with a bit-identity check on every comparison.
 ///
 /// `--json` additionally writes BENCH_scaling.json (scaling rows + the
@@ -185,9 +185,9 @@ double median_wall_ms(int repeat, Body&& body) {
   return ms[ms.size() / 2];
 }
 
-/// Serial vs engine on the largest scaling instance: wall clock, identity
-/// of the results, speculation counters, and per-net effort aggregated
-/// from the engine's trace stream.
+/// Serial vs the sharded engine on the largest scaling instance: wall
+/// clock, identity of the results, batch counters, and per-net effort
+/// aggregated from the engine's trace stream.
 void print_engine_comparison(util::TraceSink* json, int repeat) {
   const geom::Coord size = 1000;
   const int nets = 100;
@@ -210,91 +210,73 @@ void print_engine_comparison(util::TraceSink* json, int repeat) {
 
   util::TextTable table;
   table.set_header({"Mode", "Threads", "Wall ms", "Speedup", "Identical",
-                    "Committed", "Re-routed", "Max net us",
-                    "Queue wait ms"});
+                    "Batches", "Committed", "Re-routed", "Max net us"});
   table.add_row({"serial", "1", util::format("%.1f", serial_ms), "1.00x",
                  "-", "-", "-", "-", "-"});
 
-  // Both parallel dispatches over the same instance. The nets here are
-  // uniformly random (no locality), so the shard planner mostly degrades
-  // to singleton batches — the interesting contrast with bench_mbfs's
-  // sparse-5000, where locality gives sharding wide batches.
-  for (const engine::EngineMode mode :
-       {engine::EngineMode::kSpeculative, engine::EngineMode::kSharded}) {
-    const char* mode_name = engine::engine_mode_name(mode);
-    double mode_1t_ms = 0.0;
-    for (const int threads : {1, 2, 4, 8}) {
-      levelb::LevelBResult result;
-      engine::EngineStats stats;
-      long long max_net_us = 0;
-      long long queue_wait_us = 0;
-      const double ms = median_wall_ms(repeat, [&] {
-        auto [grid, nets_copy] = make_instance();
-        util::TraceSink trace;
-        engine::EngineOptions options;
-        options.threads = threads;
-        options.mode = mode;
-        options.levelb.trace = &trace;
-        engine::RoutingEngine router(grid, options);
-        const auto start = std::chrono::steady_clock::now();
-        result = router.route(nets_copy);
-        const double wall = std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - start)
-                                .count();
-        stats = router.stats();
-        // Trace consumption: fold the per-net events into run aggregates.
-        max_net_us = 0;
-        queue_wait_us = 0;
-        for (const util::TraceEvent& ev : trace.events()) {
-          max_net_us = std::max(max_net_us, trace_field(ev, "search_us"));
-          queue_wait_us += trace_field(ev, "queue_wait_us");
-        }
-        return wall;
-      });
-      if (threads == 1) mode_1t_ms = ms;
-      const bool identical = result == expected;
-      const bool sharded = stats.mode == "sharded";
-      const long long committed =
-          sharded ? stats.sharded_commits : stats.speculative_commits;
-      const long long rerouted =
-          sharded ? stats.boundary_nets : stats.speculation_aborts;
-      table.add_row(
-          {mode_name, util::format("%d", threads),
-           util::format("%.1f", ms), util::format("%.2fx", serial_ms / ms),
-           identical ? "yes" : "NO",
-           threads > 1 ? util::format("%lld", committed) : "-",
-           threads > 1 ? util::format("%lld", rerouted) : "-",
-           util::format("%lld", max_net_us),
-           util::format("%.1f", queue_wait_us / 1000.0)});
-      if (json != nullptr) {
-        util::TraceEvent ev("engine_compare");
-        ev.add("mode", mode_name)
-            .add("engine_mode", stats.mode)
-            .add("threads", threads)
-            .add("wall_ms", ms)
-            .add("serial_ms", serial_ms)
-            .add("speedup_vs_1t",
-                 ms > 0.0 && mode_1t_ms > 0.0 ? mode_1t_ms / ms : 0.0)
-            .add("identical", identical)
-            .add("speculative_commits", stats.speculative_commits)
-            .add("speculation_aborts", stats.speculation_aborts)
-            .add("batches", stats.batches)
-            .add("sharded_commits", stats.sharded_commits)
-            .add("boundary_nets", stats.boundary_nets)
-            .add("wasted_vertices", stats.wasted_vertices)
-            .add("wasted_search_us", stats.wasted_search_us)
-            .add("sharded_wasted_vertices", stats.sharded_wasted_vertices)
-            .add("sharded_wasted_search_us", stats.sharded_wasted_search_us)
-            .add("grid_copies", stats.grid_copies)
-            .add("max_net_search_us", max_net_us)
-            .add("queue_wait_us", queue_wait_us)
-            .add("worker_failures", stats.worker_failures)
-            .add("fault_reroutes", stats.fault_reroutes)
-            .add("fault_drops", stats.fault_drops)
-            .add("pool_task_failures", stats.pool_task_failures)
-            .add("failed_nets", result.failed_nets);
-        json->record(std::move(ev));
+  // The nets here are uniformly random (no locality), so the shard
+  // planner mostly degrades to singleton batches — the interesting
+  // contrast with bench_mbfs's sparse-5000, where locality gives sharding
+  // wide batches.
+  const char* mode_name =
+      engine::engine_mode_name(engine::EngineMode::kSharded);
+  double one_thread_ms = 0.0;
+  for (const int threads : {1, 2, 4, 8}) {
+    levelb::LevelBResult result;
+    engine::EngineStats stats;
+    long long max_net_us = 0;
+    const double ms = median_wall_ms(repeat, [&] {
+      auto [grid, nets_copy] = make_instance();
+      util::TraceSink trace;
+      engine::EngineOptions options;
+      options.threads = threads;
+      options.mode = engine::EngineMode::kSharded;
+      options.levelb.trace = &trace;
+      engine::RoutingEngine router(grid, options);
+      const auto start = std::chrono::steady_clock::now();
+      result = router.route(nets_copy);
+      const double wall = std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+      stats = router.stats();
+      // Trace consumption: fold the per-net events into run aggregates.
+      max_net_us = 0;
+      for (const util::TraceEvent& ev : trace.events()) {
+        max_net_us = std::max(max_net_us, trace_field(ev, "search_us"));
       }
+      return wall;
+    });
+    if (threads == 1) one_thread_ms = ms;
+    const bool identical = result == expected;
+    table.add_row(
+        {mode_name, util::format("%d", threads), util::format("%.1f", ms),
+         util::format("%.2fx", serial_ms / ms), identical ? "yes" : "NO",
+         threads > 1 ? util::format("%lld", stats.batches) : "-",
+         threads > 1 ? util::format("%lld", stats.sharded_commits) : "-",
+         threads > 1 ? util::format("%lld", stats.boundary_nets) : "-",
+         util::format("%lld", max_net_us)});
+    if (json != nullptr) {
+      util::TraceEvent ev("engine_compare");
+      ev.add("mode", mode_name)
+          .add("engine_mode", stats.mode)
+          .add("threads", threads)
+          .add("wall_ms", ms)
+          .add("serial_ms", serial_ms)
+          .add("speedup_vs_1t",
+               ms > 0.0 && one_thread_ms > 0.0 ? one_thread_ms / ms : 0.0)
+          .add("identical", identical)
+          .add("batches", stats.batches)
+          .add("sharded_commits", stats.sharded_commits)
+          .add("boundary_nets", stats.boundary_nets)
+          .add("sharded_wasted_vertices", stats.sharded_wasted_vertices)
+          .add("sharded_wasted_search_us", stats.sharded_wasted_search_us)
+          .add("max_net_search_us", max_net_us)
+          .add("worker_failures", stats.worker_failures)
+          .add("fault_reroutes", stats.fault_reroutes)
+          .add("fault_drops", stats.fault_drops)
+          .add("pool_task_failures", stats.pool_task_failures)
+          .add("failed_nets", result.failed_nets);
+      json->record(std::move(ev));
     }
   }
   std::printf("\nEngine comparison (grid %lld, %d nets, %d repeat%s, "

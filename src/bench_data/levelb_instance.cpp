@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "bench_data/synthetic.hpp"
 #include "util/rng.hpp"
 
 namespace ocr::bench_data {
@@ -40,6 +41,33 @@ LevelBInstance generate_levelb_instance(const LevelBSpec& spec) {
     net.sensitive = spec.sensitive_every > 0 &&
                     n % spec.sensitive_every == spec.sensitive_every / 2;
     inst.nets.push_back(std::move(net));
+  }
+  return inst;
+}
+
+LevelBInstance ami33_levelb_instance() {
+  const floorplan::MacroLayout ml = generate_macro_layout(ami33_spec());
+  const std::vector<geom::Coord> heights(
+      static_cast<std::size_t>(ml.num_channels()), 60);
+  const netlist::Layout layout = ml.assemble(heights);
+  const geom::DesignRules& rules = layout.rules();
+  LevelBInstance inst{"ami33",
+                      tig::TrackGrid::uniform(
+                          layout.die(),
+                          rules.rule(geom::Layer::kMetal3).pitch(),
+                          rules.rule(geom::Layer::kMetal4).pitch()),
+                      {}};
+  for (const netlist::Obstacle& ob : layout.obstacles()) {
+    if (ob.blocks_metal3) inst.grid.block_region_h(ob.region);
+    if (ob.blocks_metal4) inst.grid.block_region_v(ob.region);
+  }
+  for (std::size_t n = 0; n < layout.nets().size(); ++n) {
+    if (layout.nets()[n].net_class != netlist::NetClass::kSignal) continue;
+    auto pins = layout.net_pin_positions(
+        netlist::NetId(static_cast<std::uint32_t>(n)));
+    if (pins.size() < 2) continue;
+    inst.nets.push_back(
+        levelb::BNet{static_cast<int>(n), std::move(pins), false});
   }
   return inst;
 }

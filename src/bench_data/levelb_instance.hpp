@@ -51,6 +51,12 @@ struct LevelBInstance {
 /// Generates the instance for \p spec. Deterministic in the spec.
 LevelBInstance generate_levelb_instance(const LevelBSpec& spec);
 
+/// `ami33`: the synthetic ami33 floorplan (synthetic.hpp) assembled with
+/// 60-dbu channels; every signal net with two or more pins routes over
+/// the cells on a uniform metal3/metal4 grid with the cells' obstacles
+/// blocked. Its shard plan is mostly singleton batches.
+LevelBInstance ami33_levelb_instance();
+
 /// `sparse-5000`: ~1.2k local nets scattered over a 5000-dbu die — wide
 /// shard batches, the parallel engine's headline scaling instance.
 LevelBSpec sparse5000_spec();

@@ -1,94 +1,70 @@
 #pragma once
 /// \file engine.hpp
-/// \brief RoutingEngine: the level-B router behind a snapshot/commit
-/// engine that searches nets in parallel yet commits them in
-/// deterministic net order.
+/// \brief RoutingEngine: the level-B router, optionally spread over
+/// worker threads, with results bit-identical to the serial router.
 ///
 /// With threads == 1 the engine IS the serial LevelBRouter. With N > 1
-/// worker threads it speculates: workers route upcoming nets against
-/// immutable grid snapshots while a single committer applies results in
-/// strict ordering sequence, re-routing any speculation that raced a
-/// conflicting commit. Results are bit-identical to the serial router for
-/// a fixed ordering (see DESIGN.md "Engine architecture" for the
-/// argument).
+/// worker threads it runs the sharded dispatch: a geometry pre-pass
+/// (partition.hpp) groups consecutive ordering positions whose search
+/// regions are disjoint into batches, each batch is searched in parallel
+/// against the live grid at batch start, and results commit in strict
+/// ordering sequence. A net whose reads escaped its declared region is
+/// re-routed serially on the exact serial prefix. See DESIGN.md "Engine
+/// architecture" for the argument.
 
 #include <string>
 #include <vector>
 
-#include "engine/auto_hint.hpp"
 #include "levelb/net_core.hpp"
 #include "tig/track_grid.hpp"
+#include "util/status.hpp"
 
 namespace ocr::engine {
 
-/// Parallel dispatch strategy (threads > 1 only; 1 thread is always the
-/// serial router).
+/// Parallel dispatch for threads > 1 (1 thread is always the serial
+/// router).
 ///
-/// * kSpeculative — workers race the committer on overlapping windows;
-///   footprint validation aborts and re-routes collisions (PR-1 engine).
-/// * kSharded — a geometry pre-pass (partition.hpp) groups consecutive
-///   ordering positions with disjoint search regions into batches; each
-///   batch routes in parallel against its start snapshot with no
-///   speculation, no rebase and no aborts. Nets whose reads escape their
-///   declared region are re-routed serially (boundary nets).
-/// * kAuto — plans the shard schedule, then picks kSharded when its mean
-///   batch length clears auto_min_mean_batch (enough parallelism to win)
-///   and kSpeculative otherwise.
+/// * kSharded — batches of geometrically disjoint nets searched in
+///   parallel; region escapes are re-routed serially (boundary nets).
+/// * kAuto — plans the shard schedule, then runs sharded when the plan's
+///   mean batch reaches kAutoMinMeanBatch and the serial router otherwise.
 ///
-/// Every mode is bit-identical to the serial router at any thread count.
-enum class EngineMode { kSpeculative, kSharded, kAuto };
+/// Both are bit-identical to the serial router at any thread count.
+enum class EngineMode { kSharded, kAuto };
 
-/// "speculative" / "sharded" / "auto".
+/// Auto mode runs sharded when the plan's mean batch reaches this. Below
+/// it, most batches are singletons: the workers would idle while the
+/// plan and the per-batch barriers still cost time.
+inline constexpr double kAutoMinMeanBatch = 2.0;
+
+/// "sharded" / "auto".
 const char* engine_mode_name(EngineMode mode);
-/// Parses a mode name; false (and *mode untouched) on an unknown name.
-bool parse_engine_mode(const std::string& name, EngineMode* mode);
+/// Parses a mode name. Anything but "sharded" or "auto" is an
+/// invalid-argument Status (stage "engine") naming the valid values.
+util::StatusOr<EngineMode> parse_engine_mode(const std::string& name);
 
 struct EngineOptions {
   levelb::LevelBOptions levelb;
-  /// Worker thread count. 1 = serial (no snapshots, no speculation);
-  /// <= 0 = one per hardware thread.
+  /// Worker thread count. 1 = the serial router; <= 0 = one per hardware
+  /// thread.
   int threads = 1;
-  /// Max uncommitted ordering positions in flight; 0 = one per thread
-  /// (the minimum speculation distance that still occupies every worker —
-  /// deeper lookahead raises the abort rate faster than it adds overlap).
-  int lookahead = 0;
   /// Parallel dispatch strategy (see EngineMode).
-  EngineMode mode = EngineMode::kSpeculative;
+  EngineMode mode = EngineMode::kSharded;
   /// Sharded planning: declared-region inflation in routing pitches
   /// (partition.hpp). Tunes the escape rate, never correctness.
   int shard_halo_pitches = 16;
-  /// Auto mode picks sharded when the plan's mean batch length reaches
-  /// this (below it, batches are too short to occupy the workers and the
-  /// speculative overlap wins back the difference).
-  double auto_min_mean_batch = 2.0;
-  /// Measured dispatch outcome from a prior run's manifest (auto_hint.hpp).
-  /// When valid, auto mode trusts the measurement over the static
-  /// mean-batch heuristic: it repeats a sharded dispatch whose escape rate
-  /// stayed at or below auto_max_escape_rate, and abandons a speculative
-  /// dispatch whose abort rate reached auto_min_abort_rate.
-  EngineAutoHint auto_hint;
-  /// A prior sharded run escaping more than this fraction of its nets is
-  /// not worth repeating — every escape is a serial re-route.
-  double auto_max_escape_rate = 0.10;
-  /// A prior speculative run aborting at least this fraction of its
-  /// speculations suggests the conflict structure suits sharding instead.
-  double auto_min_abort_rate = 0.10;
 };
 
-/// Counters from the last route() call (parallel runs only; a serial run
-/// reports zero speculation).
+/// Counters from the last route() call. A serial run (one thread, or
+/// auto below kAutoMinMeanBatch) leaves the batch counters at zero.
 struct EngineStats {
   int threads = 1;
-  /// The dispatch that actually ran: "serial", "speculative" or
-  /// "sharded" (auto resolves to one of the latter two).
+  /// The dispatch that actually ran: "serial" or "sharded" (auto resolves
+  /// to one of the two).
   const char* mode = "serial";
-  /// What decided an auto-mode dispatch: "none" (mode was explicit),
-  /// "manifest" (a valid prior-run hint) or "static" (mean-batch
-  /// heuristic fallback).
-  const char* auto_source = "none";
-  // Sharded-dispatch counters (zero on serial/speculative runs). The
-  // speculative counters below stay zero on a sharded run — the split is
-  // what makes wasted work attributable to a dispatch strategy.
+  /// Mean batch length of the shard plan (0 when no plan was made, i.e.
+  /// at one thread). Auto mode compares it with kAutoMinMeanBatch.
+  double plan_mean_batch = 0.0;
   long long batches = 0;          ///< shard batches dispatched
   long long max_batch_size = 0;   ///< widest batch (parallelism ceiling)
   long long sharded_commits = 0;  ///< batch results committed untouched
@@ -96,23 +72,14 @@ struct EngineStats {
                                   ///  re-routed serially on the prefix
   long long sharded_wasted_vertices = 0;   ///< discarded escape searches
   long long sharded_wasted_search_us = 0;  ///< time of those searches
-  long long speculative_commits = 0;  ///< speculations accepted as-is
-  long long speculation_aborts = 0;   ///< speculations re-routed exactly
-  long long wasted_vertices = 0;      ///< MBFS vertices of discarded runs
-  long long wasted_search_us = 0;     ///< search time of discarded runs
-  long long queue_wait_us = 0;        ///< total worker wait for claims
-  long long grid_copies = 0;          ///< TrackGrid deep copies made for
-                                      ///  snapshot publication
-  int lookahead_peak = 0;             ///< widest adaptive speculation
-                                      ///  window the scheduler reached
   // Robustness counters (degradation ladder; see DESIGN.md "Failure
   // model"). All zero on a fault-free run.
   long long fault_reroutes = 0;   ///< rung 1: commit faults re-routed
                                   ///  serially on the live grid
   long long fault_drops = 0;      ///< rung 3: apply faults; net dropped
                                   ///  and marked unrouted
-  long long worker_failures = 0;  ///< poisoned/abandoned speculations
-                                  ///  recovered serially
+  long long worker_failures = 0;  ///< batch positions a worker left
+                                  ///  unrouted, recovered serially
   long long pool_task_failures = 0;  ///< worker tasks that threw
   int ripup_recovered = 0;        ///< rung 2: nets rescued by rip-up
 };
@@ -135,14 +102,12 @@ class RoutingEngine {
   static int resolve_threads(int requested);
 
  private:
-  /// The shared parallel prologue — ordering, snapped terminal
-  /// reservations, unrouted suffixes (defined in engine.cpp). Built once
-  /// per route() so auto mode can plan before either dispatch runs
-  /// (terminal reservation mutates the grid and must happen exactly once).
+  /// The parallel prologue — ordering, snapped terminal reservations,
+  /// unrouted suffixes, shard plan (defined in engine.cpp). Built once per
+  /// route() so auto mode can plan before either dispatch runs (terminal
+  /// reservation mutates the grid and must happen exactly once).
   struct Prepared;
 
-  levelb::LevelBResult route_parallel(const std::vector<levelb::BNet>& nets,
-                                      const Prepared& prep, int threads);
   levelb::LevelBResult route_sharded(const std::vector<levelb::BNet>& nets,
                                      const Prepared& prep, int threads);
 

@@ -1,110 +1,44 @@
 #pragma once
 /// \file parallel_search.hpp
-/// \brief The engine's reader side: worker threads that speculatively
-/// route nets against grid snapshots and publish results per ordering
-/// position for the committer to validate.
+/// \brief The engine's worker side: BatchSearch routes one shard batch's
+/// nets in parallel against the live grid and leaves the results for the
+/// engine thread to check and commit in ordering sequence.
 
 #include <atomic>
-#include <cstdint>
-#include <functional>
+#include <cstddef>
 #include <memory>
 #include <vector>
 
-#include "engine/committer.hpp"
-#include "engine/scheduler.hpp"
 #include "levelb/net_core.hpp"
 #include "tig/overlay.hpp"
-#include "tig/snapshot.hpp"
 
 namespace ocr::engine {
 
-/// One speculative routing result, produced by a worker against the grid
-/// snapshot of \c epoch and waiting for the committer's verdict.
-struct Speculation {
-  std::uint64_t epoch = 0;
-  levelb::NetResult result;
-  std::vector<levelb::Committed> committed;
-  /// Every occupancy read the net's searches made, as (track, interval)
-  /// dependencies — what the committer checks gap commits against.
-  levelb::SearchFootprint footprint;
-  levelb::SearchStats stats;  ///< this net's search effort only
-  long long queue_wait_us = 0;
-  long long search_us = 0;
-  /// The worker failed to produce a usable result (its task threw, a
-  /// fault was injected, or its slot was abandoned). The committer must
-  /// discard the payload and recompute the net on the live grid — which
-  /// yields exactly the serial result, so poisoning never costs
-  /// determinism, only speed.
-  bool poisoned = false;
-};
-
-/// Per-position mailbox between workers and the committer. Workers
-/// publish() each position exactly once; the committer take()s positions
-/// in order, blocking until the worker delivers.
-///
-/// Each position is its own independent slot with an atomic ready flag —
-/// publish is a move plus one release store and a notify on that slot's
-/// flag, and a take touches nothing but its own slot. There is no shared
-/// mutex: N workers publishing different positions never contend with
-/// each other or with the committer taking a third.
-class SpeculationSlots {
- public:
-  explicit SpeculationSlots(std::size_t positions)
-      : slots_(std::make_unique<Slot[]>(positions)), size_(positions) {}
-
-  void publish(std::size_t position, Speculation spec);
-
-  /// Blocks until position is published, then moves it out.
-  Speculation take(std::size_t position);
-
-  /// Like take(), but polls \p abandoned while waiting: when it reports
-  /// true and the slot is still empty, gives up and returns a poisoned
-  /// Speculation instead of blocking forever. Lets the committer survive
-  /// a worker that died (task threw) before publishing its claim — the
-  /// poisoned position is recomputed serially. A late publish into an
-  /// abandoned slot is tolerated and simply never consumed. (A dead
-  /// worker never notifies, and C++20 atomic wait has no timeout — so
-  /// this variant spins briefly, then falls back to a sleep poll.)
-  Speculation take(std::size_t position,
-                   const std::function<bool()>& abandoned);
-
- private:
-  struct Slot {
-    std::atomic<bool> ready{false};
-    Speculation spec;
-  };
-
-  // Slots hold atomics (not movable), so a plain vector cannot hold them.
-  std::unique_ptr<Slot[]> slots_;
-  std::size_t size_;
-};
-
-/// The sharded engine mode's worker loop (engine.cpp route_sharded): one
-/// provably-disjoint batch of consecutive ordering positions, routed in
-/// parallel against the shared batch-start grid with no speculation
-/// machinery at all — no scheduler claims, no snapshots, no commit-log
-/// replay, no rebase, no epoch racing. The base is the engine's LIVE grid:
-/// batches phase-separate reads from writes (the committer only commits
-/// after every worker finished), so sharing it costs zero grid copies.
-/// The committer must warm_gap_cache() before each multi-worker batch so
-/// concurrent base reads are pure (see GapCache's thread contract).
-/// Workers pull positions from an atomic cursor; the committer harvests
-/// items() after the pool quiesces (wait_idle is the synchronization
-/// point) and commits them in position order.
+/// The sharded engine's worker loop (engine.cpp route_sharded): one batch
+/// of consecutive ordering positions with disjoint declared regions,
+/// routed in parallel against the shared batch-start grid. The base is
+/// the engine's LIVE grid: batches phase-separate reads from writes (the
+/// engine thread only commits after every worker finished), so sharing it
+/// costs zero grid copies. The engine thread must warm_gap_cache() before
+/// each multi-worker batch so concurrent base reads are pure (see
+/// GapCache's thread contract). Workers pull positions from an atomic
+/// cursor; the engine thread harvests items() after the pool quiesces
+/// (wait_idle is the synchronization point) and commits them in position
+/// order.
 class BatchSearch {
  public:
   /// One batch position's routing result.
   struct Item {
     levelb::NetResult result;
     std::vector<levelb::Committed> committed;
-    /// Exact read set of the search — what the committer checks against
+    /// Exact read set of the search — what the engine checks against
     /// same-batch predecessors' wiring to catch region escapes.
     levelb::SearchFootprint footprint;
     levelb::SearchStats stats;
     long long search_us = 0;
     /// False until a worker completes the search: a position left
     /// unrouted (injected fault, thrown search, dead worker task) is
-    /// recovered serially by the committer, like a poisoned speculation.
+    /// recovered serially by the engine thread.
     bool routed = false;
   };
 
@@ -126,7 +60,7 @@ class BatchSearch {
                    std::shared_ptr<const levelb::SensitiveRuns> sensitive);
 
   /// Claims and routes batch positions until the cursor drains. Safe from
-  /// any number of threads; also callable inline on the committer thread
+  /// any number of threads; also callable inline on the engine thread
   /// for singleton batches.
   void run_worker();
 
@@ -145,40 +79,6 @@ class BatchSearch {
   std::size_t begin_ = 0;
   std::vector<Item> items_;
   std::atomic<std::size_t> cursor_{0};
-};
-
-/// Worker-loop driver. Each engine worker thread runs run_worker(): claim
-/// an ordering position from the scheduler, route that net against the
-/// shared immutable snapshot through a private GridOverlay (no grid deep
-/// copy — the overlay carries the worker's terminal braces plus the
-/// commit-log batches newer than the snapshot), and publish the
-/// speculation. All referenced objects must outlive the workers.
-class ParallelSearch {
- public:
-  ParallelSearch(const tig::VersionedGrid& grid, const Committer& committer,
-                 NetScheduler& scheduler, SpeculationSlots& slots,
-                 const levelb::LevelBOptions& options,
-                 const std::vector<const levelb::BNet*>& nets_by_position,
-                 const std::vector<const std::vector<geom::Point>*>&
-                     terminals_by_position,
-                 const levelb::UnroutedSuffix& unrouted)
-      : grid_(grid), committer_(committer), scheduler_(scheduler),
-        slots_(slots), options_(options), nets_(nets_by_position),
-        terminals_(terminals_by_position), unrouted_(unrouted) {}
-
-  /// Runs until the scheduler is exhausted. Call from one thread per
-  /// worker; each call keeps its own overlay and scratch buffers.
-  void run_worker();
-
- private:
-  const tig::VersionedGrid& grid_;
-  const Committer& committer_;
-  NetScheduler& scheduler_;
-  SpeculationSlots& slots_;
-  const levelb::LevelBOptions& options_;
-  const std::vector<const levelb::BNet*>& nets_;
-  const std::vector<const std::vector<geom::Point>*>& terminals_;
-  const levelb::UnroutedSuffix& unrouted_;
 };
 
 }  // namespace ocr::engine

@@ -1,13 +1,11 @@
 #pragma once
 /// \file partition.hpp
-/// \brief Conflict-graph spatial sharding: the engine's zero-speculation
-/// batch planner.
+/// \brief Conflict-graph spatial sharding: the parallel engine's batch
+/// planner.
 ///
-/// The speculative engine pays for parallelism with aborts: workers race
-/// the committer, and every footprint collision discards a finished
-/// search. Most of those collisions are predictable from geometry alone —
-/// two nets whose search regions are far apart cannot invalidate each
-/// other, so racing them was never necessary.
+/// Two nets whose search regions are far apart cannot change each other's
+/// route, so they can be searched at the same time against the same grid
+/// state. Which nets are far apart is predictable from geometry alone.
 ///
 /// The shard planner turns that observation into a schedule. Each ordering
 /// position gets a *declared region*: its terminal bounding box inflated

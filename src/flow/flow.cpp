@@ -186,16 +186,14 @@ FlowMetrics run_over_cell_flow(const MacroLayout& ml,
   engine::EngineOptions eopt;
   eopt.levelb = options.levelb;
   eopt.threads = options.levelb_threads;
-  if (!engine::parse_engine_mode(options.levelb_engine_mode, &eopt.mode)) {
+  const util::StatusOr<engine::EngineMode> mode =
+      engine::parse_engine_mode(options.levelb_engine_mode);
+  if (!mode.ok()) {
     m.success = false;
-    m.problems.push_back("unknown engine mode '" +
-                         options.levelb_engine_mode + "'");
+    m.problems.push_back(mode.status().to_string());
     return m;
   }
-  if (!options.levelb_engine_hint_manifest.empty()) {
-    eopt.auto_hint =
-        engine::load_auto_hint(options.levelb_engine_hint_manifest);
-  }
+  eopt.mode = mode.value();
   engine::RoutingEngine router(grid, eopt);
   levelb::LevelBResult b = [&] {
     OCR_SPAN("flow.levelB");
@@ -208,19 +206,12 @@ FlowMetrics run_over_cell_flow(const MacroLayout& ml,
   m.levelb_threads = router.stats().threads;
   m.levelb_engine_mode = router.stats().mode;
   m.levelb_vertices = b.vertices_examined;
-  m.levelb_speculative_commits = router.stats().speculative_commits;
-  m.levelb_speculation_aborts = router.stats().speculation_aborts;
   m.levelb_batches = router.stats().batches;
   m.levelb_boundary_nets = router.stats().boundary_nets;
   m.levelb_sharded_commits = router.stats().sharded_commits;
   m.levelb_sharded_wasted_vertices = router.stats().sharded_wasted_vertices;
   m.levelb_sharded_wasted_search_us =
       router.stats().sharded_wasted_search_us;
-  m.levelb_wasted_vertices = router.stats().wasted_vertices;
-  m.levelb_wasted_search_us = router.stats().wasted_search_us;
-  m.levelb_queue_wait_us = router.stats().queue_wait_us;
-  m.levelb_grid_copies = router.stats().grid_copies;
-  m.levelb_auto_source = router.stats().auto_source;
   m.peak_rss_kb = util::peak_rss_kb();
   m.tig_grid_bytes = static_cast<long long>(grid.grid_bytes());
   m.degrade_fault_reroutes =

@@ -52,19 +52,14 @@ struct FlowOptions {
   /// (levelb/optimize.hpp). Off by default to keep the paper-faithful
   /// single-pass numbers; the ablation bench quantifies the gain.
   bool straighten_levelb = false;
-  /// Level-B engine worker threads: 1 = the serial router, N > 1 =
-  /// speculative parallel search with deterministic commit (results are
-  /// bit-identical for any value), <= 0 = one per hardware thread.
+  /// Level-B engine worker threads: 1 = the serial router, N > 1 = the
+  /// sharded parallel engine (results are bit-identical for any value),
+  /// <= 0 = one per hardware thread.
   int levelb_threads = 1;
-  /// Parallel dispatch strategy for threads > 1: "speculative", "sharded"
-  /// or "auto" (engine::EngineMode; every mode is serial-exact). An
-  /// unknown name fails the flow up front.
-  std::string levelb_engine_mode = "speculative";
-  /// Path to a prior run's manifest for engine_mode=auto: the measured
-  /// abort/escape rates in it override the static mean-batch heuristic
-  /// (engine/auto_hint.hpp). Empty = no hint; an unreadable or hint-less
-  /// file silently falls back to the static heuristic.
-  std::string levelb_engine_hint_manifest;
+  /// Parallel dispatch strategy for threads > 1: "sharded" or "auto"
+  /// (engine::EngineMode; both are serial-exact). Any other name fails
+  /// the flow up front.
+  std::string levelb_engine_mode = "sharded";
 };
 
 /// Quality metrics of one routed flow (the quantities of Tables 2 and 3).
@@ -87,23 +82,13 @@ struct FlowMetrics {
   // Level-B engine observability (over-cell flow only).
   int levelb_threads = 1;                    ///< resolved worker count
   std::string levelb_engine_mode = "serial"; ///< dispatch that ran:
-                                             ///  serial/speculative/sharded
+                                             ///  serial/sharded
   long long levelb_vertices = 0;             ///< MBFS vertices examined
-  long long levelb_speculative_commits = 0;  ///< speculations accepted
-  long long levelb_speculation_aborts = 0;   ///< speculations re-routed
   long long levelb_batches = 0;              ///< shard batches dispatched
   long long levelb_boundary_nets = 0;        ///< shard escapes re-routed
   long long levelb_sharded_commits = 0;      ///< batch results committed
   long long levelb_sharded_wasted_vertices = 0;   ///< escape search waste
   long long levelb_sharded_wasted_search_us = 0;  ///< escape search time
-  long long levelb_wasted_vertices = 0;      ///< MBFS vertices of
-                                             ///  discarded speculations
-  long long levelb_wasted_search_us = 0;     ///< search time of discarded
-                                             ///  speculations
-  long long levelb_queue_wait_us = 0;        ///< workers' claim blocking
-  long long levelb_grid_copies = 0;          ///< snapshot grid copies
-  std::string levelb_auto_source;            ///< auto decision input:
-                                             ///  none/manifest/static
 
   // Memory observability (over-cell flow only).
   long long peak_rss_kb = 0;      ///< process ru_maxrss after routing
@@ -113,7 +98,7 @@ struct FlowMetrics {
   // Degradation-ladder counters (see DESIGN.md "Failure model"). All
   // zero on a healthy run without deadline/budget limits.
   long long degrade_fault_reroutes = 0;   ///< rung 1: serial re-routes of
-                                          ///  faulted/poisoned commits
+                                          ///  faulted/failed batch searches
   int degrade_ripup_recovered = 0;        ///< rung 2: rip-up rescues
   long long degrade_fault_drops = 0;      ///< rung 3: nets dropped by an
                                           ///  apply fault

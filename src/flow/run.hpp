@@ -14,8 +14,8 @@
 /// * **failed**  — a hard failure, or any problem under the `abort`
 ///   fail-policy (exit code 1).
 ///
-/// The degradation ladder (policy `degrade`) is: speculation-validation
-/// failure -> serial re-route on the live grid -> rip-up round -> mark
+/// The degradation ladder (policy `degrade`) is: a failed or faulted batch
+/// search -> serial re-route on the live grid -> rip-up round -> mark
 /// the net unrouted and continue. Every downgrade is counted in
 /// FlowMetrics and, when a TraceSink is attached, emitted as a
 /// "degrade" trace event.

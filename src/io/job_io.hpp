@@ -23,9 +23,10 @@
 /// * `flow`        — `overcell|2layer|4layer|50pct` (default `overcell`).
 /// * `partition`   — `class|allb|length=<dbu>` (default `class`).
 /// * `threads`     — level-B engine workers for this job (default 1).
-/// * `engine_mode` — parallel dispatch for `threads > 1`:
-///   `speculative|sharded|auto` (default `speculative`; serial-exact
-///   either way).
+/// * `engine_mode` — parallel dispatch for `threads > 1`: `sharded|auto`
+///   (default `sharded`; serial-exact either way). Any other name,
+///   including the retired `speculative`, is rejected by
+///   service::spec_from_request.
 /// * `deadline_ms` — per-job wall-clock budget, 0 = none.
 /// * `net_effort`  — per-net vertex budget, 0 = unlimited.
 /// * `fail_policy` — `abort|degrade|partial` (default `degrade`).
@@ -57,7 +58,7 @@ struct JobRequest {
   std::string flow = "overcell";
   std::string partition = "class";
   int threads = 1;
-  std::string engine_mode = "speculative";
+  std::string engine_mode = "sharded";
   long long deadline_ms = 0;
   long long net_effort = 0;
   std::string fail_policy = "degrade";

@@ -77,7 +77,7 @@ struct CostContext {
   /// Committed sensitive wiring for the w24 parallel-run term (optional).
   const SensitiveRuns* sensitive = nullptr;
   /// When set, every occupancy read the cost terms make is recorded here
-  /// as a (track, interval) dependency. The engine validates speculative
+  /// as a (track, interval) dependency. The sharded engine checks batch
   /// searches against it; serial callers leave it null.
   SearchFootprint* footprint = nullptr;
 };

@@ -7,13 +7,12 @@
 /// fractions for the acf term — depends on the blocked state of one track
 /// interval. The footprint is the union of those intervals, per track.
 ///
-/// The engine validates speculative results with it: a block-only commit
+/// The sharded engine checks batch results with it: a block-only commit
 /// whose extents intersect no footprint interval cannot change the value
 /// of any read the search performed, and therefore cannot change the
-/// search's (deterministic) outcome. This is the segment-level refinement
-/// of the coarser SearchWindow check — a die-crossing wire only conflicts
-/// with the searches that actually looked at the track intervals it
-/// blocks.
+/// search's (deterministic) outcome. The check is per segment, not per
+/// track — a die-crossing wire only conflicts with the searches that
+/// actually looked at the track intervals it blocks.
 
 #include <cstddef>
 #include <map>

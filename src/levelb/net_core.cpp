@@ -323,8 +323,8 @@ NetResult route_single_net(tig::GridView grid,
   }
 
   // Test-harness fault: fail every connection of a targeted net. Keyed by
-  // net id so it fires identically in speculative, serial-recompute and
-  // rip-up routing of the same net at any thread count.
+  // net id so it fires identically in batch, serial-recompute and rip-up
+  // routing of the same net at any thread count.
   if (OCR_FAULT_KEY("levelb.connect", request.net_id)) {
     result.complete = false;
     result.outcome = util::StatusKind::kFaultInjected;

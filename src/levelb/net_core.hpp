@@ -6,11 +6,12 @@
 ///
 /// Everything here is a pure function of its inputs: given the same grid
 /// occupancy, options and terminal lists, each function produces the same
-/// answer. That property is what lets the engine speculate — a worker can
-/// run route_single_net() against a snapshot of the grid, and the result
-/// is byte-identical to the serial router's as long as no intervening
-/// commit overlapped a track interval the search actually read (see
-/// SearchFootprint and DESIGN.md "Engine architecture").
+/// answer. That property is what lets the engine route a batch of nets in
+/// parallel — a worker runs route_single_net() against the batch-start
+/// grid, and the result is byte-identical to the serial router's as long
+/// as no same-batch predecessor committed over a track interval the search
+/// actually read (see SearchFootprint and DESIGN.md "Engine
+/// architecture").
 
 #include <cstddef>
 #include <span>
@@ -59,7 +60,7 @@ struct LevelBOptions {
   /// the paper's §3.2 edge weighting addresses. 0 disables.
   int ripup_rounds = 1;
   /// When set, the router records one "net" trace event per routed net
-  /// (search effort, timings; engine runs add speculation fields).
+  /// (search effort, timings; engine runs add batch fields).
   /// Tracing never changes routing results.
   util::TraceSink* trace = nullptr;
   /// Vertex-expansion budget for one whole net (all its connections and
@@ -168,14 +169,14 @@ struct NetRouteRequest {
 /// Prim attachment loop over PathFinder::connect. Appends the extents to
 /// commit to \p committed, accumulates effort into \p stats, and — when
 /// \p footprint is non-null — records every occupancy read the searches
-/// made as (track, interval) dependencies (the engine's speculation-
-/// validity footprint). \p workspace supplies the searches' scratch
+/// made as (track, interval) dependencies (the footprint the sharded
+/// engine checks for region escapes). \p workspace supplies the searches' scratch
 /// buffers; long-lived callers (the serial router, engine workers) pass
 /// their own so steady-state routing does not allocate. Null falls back
 /// to a throwaway workspace; results are identical either way.
 /// \p grid is a view: serial callers pass their TrackGrid, engine workers
-/// a snapshot + GridOverlay — results are bit-identical for equal
-/// effective occupancy.
+/// a GridOverlay over the batch-start grid — results are bit-identical for
+/// equal effective occupancy.
 NetResult route_single_net(tig::GridView grid,
                            const LevelBOptions& options,
                            const NetRouteRequest& request,

@@ -392,13 +392,6 @@ PathFinder::Result PathFinder::connect(const geom::Point& a,
   OCR_ASSERT(grid_.h_y(i_b) == b.y && grid_.v_x(j_b) == b.x,
              "connect: endpoint b is not a grid crossing");
 
-  // Every occupancy read below happens on tracks inside the initial
-  // window (grown versions replace it before any further reads).
-  {
-    const Window w0 = make_window(grid_, a, b, options_.window_margin);
-    result.window = SearchWindow{w0.i_lo, w0.i_hi, w0.j_lo, w0.j_hi};
-  }
-
   // Straight (zero-corner) connections short-circuit the search.
   if (a.x == b.x) {
     const auto seg = grid_.v_free_segment(j_a, a.y);
@@ -439,7 +432,6 @@ PathFinder::Result PathFinder::connect(const geom::Point& a,
     Window w = final_step
                    ? Window{0, grid_.num_h() - 1, 0, grid_.num_v() - 1}
                    : make_window(grid_, a, b, margin);
-    result.window = SearchWindow{w.i_lo, w.i_hi, w.j_lo, w.j_hi};
 
     run_mbfs(grid_, a, b, Orientation::kVertical, w, ws, ws.tree_v,
              ws.arrivals_v, result.stats, ctx.footprint, limits);

@@ -29,6 +29,12 @@ LevelBResult LevelBRouter::route(const std::vector<BNet>& nets) {
   const std::vector<std::size_t> order = order_nets(nets, options_.ordering);
   const std::vector<std::vector<Point>> snapped =
       snap_and_reserve_terminals(grid_, nets);
+  return route_reserved(nets, order, snapped);
+}
+
+LevelBResult LevelBRouter::route_reserved(
+    const std::vector<BNet>& nets, const std::vector<std::size_t>& order,
+    const std::vector<std::vector<Point>>& snapped) {
   const UnroutedSuffix unrouted(snapped, order);
 
   // First pass, in the configured order. Results and committed extents are

@@ -17,6 +17,7 @@
 /// with the parallel engine in src/engine/, which must reproduce this
 /// router's results bit-for-bit for a fixed ordering).
 
+#include <cstddef>
 #include <vector>
 
 #include "levelb/net_core.hpp"
@@ -33,6 +34,14 @@ class LevelBRouter {
   /// Routes \p nets (order adjusted per options). Nets with < 2 distinct
   /// snapped terminals are trivially complete.
   LevelBResult route(const std::vector<BNet>& nets);
+
+  /// The same route, for a caller that already ordered the nets and ran
+  /// snap_and_reserve_terminals(grid, nets) itself (\p snapped is its
+  /// result, parallel to \p nets). The parallel engine's auto mode plans
+  /// on those terminals before it decides to route serially.
+  LevelBResult route_reserved(
+      const std::vector<BNet>& nets, const std::vector<std::size_t>& order,
+      const std::vector<std::vector<geom::Point>>& snapped);
 
  private:
   tig::TrackGrid& grid_;

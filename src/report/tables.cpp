@@ -72,24 +72,21 @@ std::string render_table3(const std::vector<Table3Row>& rows) {
 
 std::string render_engine_summary(const std::vector<flow::FlowMetrics>& rows) {
   TextTable t;
-  t.set_header({"Example", "Threads", "Mode", "Vertices", "Committed",
-                "Re-routed", "Wasted vtx", "B completion %"});
+  t.set_header({"Example", "Threads", "Mode", "Vertices", "Batches",
+                "Committed", "Re-routed", "Wasted vtx", "B completion %"});
   for (const flow::FlowMetrics& m : rows) {
     if (m.levelb_nets == 0) continue;
-    // One "committed as searched / re-routed serially" split per mode:
-    // speculative counts aborts, sharded counts boundary escapes.
-    const bool sharded = m.levelb_engine_mode == "sharded";
+    // Batch results committed as searched vs boundary escapes re-routed
+    // serially (all zero on a serial run).
     t.add_row({m.example_name, format("%d", m.levelb_threads),
                m.levelb_engine_mode, with_commas(m.levelb_vertices),
-               format("%lld", sharded ? m.levelb_sharded_commits
-                                      : m.levelb_speculative_commits),
-               format("%lld", sharded ? m.levelb_boundary_nets
-                                      : m.levelb_speculation_aborts),
-               with_commas(sharded ? m.levelb_sharded_wasted_vertices
-                                   : m.levelb_wasted_vertices),
+               format("%lld", m.levelb_batches),
+               format("%lld", m.levelb_sharded_commits),
+               format("%lld", m.levelb_boundary_nets),
+               with_commas(m.levelb_sharded_wasted_vertices),
                format("%.1f", 100.0 * m.levelb_completion)});
   }
-  return "Engine summary: level-B routing effort and speculation\n" +
+  return "Engine summary: level-B routing effort and shard batches\n" +
          t.render();
 }
 

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "bench_data/synthetic.hpp"
+#include "engine/engine.hpp"
 #include "io/layout_io.hpp"
 #include "util/str.hpp"
 
@@ -59,12 +60,9 @@ StatusOr<JobSpec> spec_from_request(const io::JobRequest& request) {
   if (request.threads < 0) {
     return Status::invalid_argument("threads must be >= 0").with_stage("job");
   }
-  if (request.engine_mode != "speculative" &&
-      request.engine_mode != "sharded" && request.engine_mode != "auto") {
-    return Status::invalid_argument("unknown engine mode '" +
-                                    request.engine_mode + "'")
-        .with_stage("job");
-  }
+  const StatusOr<engine::EngineMode> mode =
+      engine::parse_engine_mode(request.engine_mode);
+  if (!mode.ok()) return Status(mode.status()).with_stage("job");
   spec.engine_mode = request.engine_mode;
   if (request.deadline_ms < 0 || request.net_effort < 0) {
     return Status::invalid_argument("deadline_ms / net_effort must be >= 0")

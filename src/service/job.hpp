@@ -41,9 +41,9 @@ struct JobSpec {
   flow::FlowKind kind = flow::FlowKind::kOverCell;
   std::string partition = "class";
   int threads = 1;
-  /// Parallel dispatch strategy when threads > 1: "speculative",
-  /// "sharded" or "auto" (serial-exact either way).
-  std::string engine_mode = "speculative";
+  /// Parallel dispatch strategy when threads > 1: "sharded" or "auto"
+  /// (serial-exact either way).
+  std::string engine_mode = "sharded";
   flow::FailPolicy fail_policy = flow::FailPolicy::kDegrade;
   long long deadline_ms = 0;
   long long net_effort = 0;
@@ -54,8 +54,8 @@ struct JobSpec {
 };
 
 /// Validates a decoded request into a JobSpec (kInvalidArgument on bad
-/// flow/partition/fail-policy names, missing or ambiguous instance,
-/// negative knobs).
+/// flow/partition/fail-policy/engine-mode names, missing or ambiguous
+/// instance, negative knobs).
 util::StatusOr<JobSpec> spec_from_request(const io::JobRequest& request);
 
 /// Builds the MacroLayout a spec names: a bench_data generator for

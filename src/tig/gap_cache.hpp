@@ -27,7 +27,7 @@
 ///
 /// Thread contract: lazy rebuilds mutate the cache under a const grid
 /// query, so they follow the grid's own single-writer rules. Before a grid
-/// is shared read-only across threads (GridSnapshot publication), call
+/// is shared read-only across threads (a sharded engine batch), call
 /// `TrackGrid::warm_gap_cache()` — it materializes every *blocked* track's
 /// entry (empty tracks use the pure-read fast path) so concurrent readers
 /// perform pure reads.
@@ -207,7 +207,7 @@ class GapCache {
   }
 
   /// Fully materializes an entry — gaps and every span — so later
-  /// lookups are pure reads (the GridSnapshot freeze path).
+  /// lookups are pure reads (the warm_gap_cache path).
   static void warm(Entry& e, const geom::IntervalSet& blocked,
                    const geom::Interval& universe,
                    const std::vector<geom::Coord>& perp) {

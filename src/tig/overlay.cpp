@@ -23,7 +23,7 @@ void GridOverlay::rebase(const TrackGrid* base) {
     }
   }
   // Retire the pool instead of destroying it: the sets keep their run
-  // capacity for the next epoch's materializations.
+  // capacity for the materializations after this rebase.
   entries_used_ = 0;
   touched_h_.clear();
   touched_v_.clear();
@@ -71,23 +71,6 @@ void GridOverlay::unblock_h(int i, const geom::Interval& span) {
 
 void GridOverlay::unblock_v(int j, const geom::Interval& span) {
   materialize_v(j).remove(span);
-}
-
-void GridOverlay::apply(const TrackRef& track, const geom::Interval& span,
-                        bool block) {
-  if (track.orient == geom::Orientation::kHorizontal) {
-    if (block) {
-      block_h(track.index, span);
-    } else {
-      unblock_h(track.index, span);
-    }
-  } else {
-    if (block) {
-      block_v(track.index, span);
-    } else {
-      unblock_v(track.index, span);
-    }
-  }
 }
 
 const geom::IntervalSet& GridOverlay::h_blocked(int i) const {

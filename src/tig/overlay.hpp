@@ -3,9 +3,9 @@
 /// \brief GridOverlay: a sparse, copy-on-touch occupancy delta over an
 /// immutable base TrackGrid.
 ///
-/// The parallel engine's workers used to deep-copy the whole TrackGrid
-/// once per epoch just to unblock two terminal crossings and absorb a
-/// handful of commit ops. The overlay replaces that copy: it answers the
+/// The sharded engine's workers search the shared live grid, but each
+/// must unblock its own net's terminal crossings first. The overlay holds
+/// those private mutations without copying the grid: it answers the
 /// occupancy queries the MBFS search makes (free segments, distance to
 /// blockage, blocked fraction) from a small set of *touched* tracks — each
 /// a private IntervalSet copied from the base on first mutation — and
@@ -17,24 +17,23 @@
 /// overlay computes its queries with the same IntervalSet primitives the
 /// TrackGrid uses when its gap cache is off — a path the gap-cache tests
 /// prove equivalent to the cached one. So (base + overlay) answers every
-/// query exactly as the mutated deep copy did, bit for bit.
+/// query exactly as a mutated deep copy would, bit for bit.
 ///
 /// Thread contract: an overlay belongs to one thread. The base grid must
-/// be immutable (e.g. a published GridSnapshot) with a warmed gap cache
-/// while any overlay references it.
+/// not be mutated, and its gap cache must be warm, while any overlay
+/// references it (the engine guarantees both for the length of a batch).
 ///
 /// Storage: the track→slot directories are chunked (64 tracks per chunk,
-/// default slot -1), so an overlay over a 100k-track snapshot allocates
+/// default slot -1), so an overlay over a 100k-track grid allocates
 /// directory chunks only around the tracks it actually touches instead of
 /// two dense int32 arrays sized to the whole grid per rebase. The private
-/// IntervalSets live in a pool that survives rebase — steady-state epochs
-/// recycle both the sets' run capacity and the directory chunks.
+/// IntervalSets live in a pool that survives rebase — steady-state reuse
+/// recycles both the sets' run capacity and the directory chunks.
 
 #include <cstdint>
 #include <optional>
 #include <vector>
 
-#include "tig/snapshot.hpp"
 #include "tig/track_grid.hpp"
 #include "util/chunked.hpp"
 
@@ -63,12 +62,6 @@ class GridOverlay {
   void block_v(int j, const geom::Interval& span);
   void unblock_h(int i, const geom::Interval& span);
   void unblock_v(int j, const geom::Interval& span);
-
-  /// One commit-log op: block/unblock \p span on \p track.
-  void apply(const TrackRef& track, const geom::Interval& span, bool block);
-  /// Same, straight from a CommitRecord — the log-replay idiom every
-  /// catch-up loop (worker rebase, serial fallback) shares.
-  void apply(const CommitOp& op) { apply(op.track, op.span, op.block); }
 
   // ---- occupancy queries (same semantics as TrackGrid's) --------------
 
@@ -115,8 +108,8 @@ class GridOverlay {
   // directory chunks around touched tracks materialize.
   util::ChunkedVector<std::int32_t> h_slot_{-1};
   util::ChunkedVector<std::int32_t> v_slot_{-1};
-  // Pool of private sets; [0, entries_used_) are live this epoch, the
-  // rest are retired sets kept for their capacity.
+  // Pool of private sets; [0, entries_used_) are live since the last
+  // rebase, the rest are retired sets kept for their capacity.
   std::vector<geom::IntervalSet> entries_;
   std::size_t entries_used_ = 0;
   std::vector<std::int32_t> touched_h_;  // for O(touched) rebase

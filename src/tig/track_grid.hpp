@@ -144,8 +144,9 @@ class TrackGrid {
   /// Materializes the free-gap cache entry of every *blocked* track so
   /// subsequent free-segment queries are pure reads (untouched tracks are
   /// answered by the cache's universe fast path, also a pure read).
-  /// Required before sharing a const grid across threads (GridSnapshot
-  /// publication); a no-op when the cache is globally disabled.
+  /// Required before sharing a const grid across threads (the sharded
+  /// engine warms before each multi-worker batch); a no-op when the cache
+  /// is globally disabled.
   void warm_gap_cache() const;
 
   /// Heap bytes of the occupancy state: blocked-set chunk storage, the

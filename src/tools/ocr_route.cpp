@@ -15,6 +15,7 @@
 #include <string>
 #include <utility>
 
+#include "engine/engine.hpp"
 #include "flow/flow.hpp"
 #include "flow/check.hpp"
 #include "flow/run.hpp"
@@ -43,9 +44,7 @@ void usage() {
       "                 [--flow overcell|2layer|4layer|50pct]\n"
       "                 [--partition class|length=<dbu>|allb]\n"
       "                 [--svg FILE] [--save FILE] [--wiring FILE] [--check]\n"
-      "                 [--threads N] [--engine-mode speculative|sharded|"
-      "auto]\n"
-      "                 [--engine-hint MANIFEST]\n"
+      "                 [--threads N] [--engine-mode sharded|auto]\n"
       "                 [--trace FILE] [--verbose]\n"
       "                 [--profile FILE] [--metrics-json FILE]\n"
       "                 [--manifest FILE]\n"
@@ -61,15 +60,11 @@ void usage() {
       "dbu to level A; allb = everything over-cell.\n"
       "--threads N routes level B with N engine workers (0 = one per\n"
       "hardware thread; results are identical for any N). --engine-mode\n"
-      "picks the parallel dispatch: speculative (default) races workers\n"
-      "and re-routes collisions; sharded batches geometrically disjoint\n"
-      "nets with zero speculation; auto plans the shard schedule and\n"
-      "falls back to speculative when batches are too short. Every mode\n"
-      "is bit-identical to --threads 1. --engine-hint MANIFEST feeds\n"
-      "auto mode the measured abort/escape rates from a prior run's\n"
-      "--manifest file (unreadable or unrelated files fall back to the\n"
-      "static heuristic). --trace FILE\n"
-      "writes per-net engine trace events as JSON.\n"
+      "picks the parallel dispatch: sharded (default) routes batches of\n"
+      "geometrically disjoint nets in parallel; auto plans the shard\n"
+      "schedule and routes serially when batches are too short. Both are\n"
+      "bit-identical to --threads 1. --trace FILE writes per-net engine\n"
+      "trace events as JSON.\n"
       "\n"
       "Observability (docs/OBSERVABILITY.md): --profile FILE writes a\n"
       "Chrome trace-event JSON of stage and engine spans (open it at\n"
@@ -100,8 +95,7 @@ struct Args {
   std::string metrics_json;
   std::string manifest;
   int threads = 1;
-  std::string engine_mode = "speculative";
-  std::string engine_hint;
+  std::string engine_mode = "sharded";
   bool verbose = false;
   bool check = false;
   long long deadline_ms = 0;
@@ -168,16 +162,13 @@ std::optional<Args> parse_args(int argc, char** argv) {
     } else if (arg == "--engine-mode") {
       const char* v = value();
       if (v == nullptr) return std::nullopt;
-      if (std::strcmp(v, "speculative") != 0 &&
-          std::strcmp(v, "sharded") != 0 && std::strcmp(v, "auto") != 0) {
-        std::fprintf(stderr, "unknown engine mode '%s'\n", v);
+      const util::StatusOr<engine::EngineMode> mode =
+          engine::parse_engine_mode(v);
+      if (!mode.ok()) {
+        std::fprintf(stderr, "%s\n", mode.status().to_string().c_str());
         return std::nullopt;
       }
       args.engine_mode = v;
-    } else if (arg == "--engine-hint") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.engine_hint = v;
     } else if (arg == "--deadline-ms") {
       const char* v = value();
       if (v == nullptr) return std::nullopt;
@@ -259,10 +250,6 @@ void print_metrics(const flow::RunReport& report) {
                 100.0 * m.levelb_completion);
     std::printf("engine threads:    %d (%s)\n", m.levelb_threads,
                 m.levelb_engine_mode.c_str());
-    if (!m.levelb_auto_source.empty() && m.levelb_auto_source != "none") {
-      std::printf("engine auto:       decided from %s hint\n",
-                  m.levelb_auto_source.c_str());
-    }
     std::printf("engine vertices:   %s\n",
                 util::with_commas(m.levelb_vertices).c_str());
     if (m.levelb_engine_mode == "sharded") {
@@ -275,18 +262,6 @@ void print_metrics(const flow::RunReport& report) {
                   util::with_commas(m.levelb_sharded_wasted_vertices)
                       .c_str(),
                   m.levelb_sharded_wasted_search_us / 1000.0);
-      std::printf("engine copies:     %lld snapshot grids\n",
-                  m.levelb_grid_copies);
-    } else if (m.levelb_threads > 1) {
-      std::printf("engine commits:    %lld speculative, %lld re-routed\n",
-                  m.levelb_speculative_commits, m.levelb_speculation_aborts);
-      std::printf("engine waste:      %s vertices, %.1f ms search, "
-                  "%.1f ms queued\n",
-                  util::with_commas(m.levelb_wasted_vertices).c_str(),
-                  m.levelb_wasted_search_us / 1000.0,
-                  m.levelb_queue_wait_us / 1000.0);
-      std::printf("engine copies:     %lld snapshot grids\n",
-                  m.levelb_grid_copies);
     }
   }
   if (m.peak_rss_kb > 0 || m.tig_grid_bytes > 0) {
@@ -388,7 +363,6 @@ int main(int argc, char** argv) {
   flow::RunOptions ropt;
   ropt.flow.levelb_threads = args->threads;
   ropt.flow.levelb_engine_mode = args->engine_mode;
-  ropt.flow.levelb_engine_hint_manifest = args->engine_hint;
   ropt.fail_policy = args->fail_policy;
   ropt.deadline_ms = args->deadline_ms;
   ropt.net_effort = args->net_effort;
@@ -515,9 +489,6 @@ int main(int argc, char** argv) {
     manifest.add_config("partition", args->partition);
     manifest.add_config("threads", args->threads);
     manifest.add_config("engine_mode", args->engine_mode);
-    if (!args->engine_hint.empty()) {
-      manifest.add_config("engine_hint", args->engine_hint);
-    }
     manifest.add_config("fail_policy",
                         flow::fail_policy_name(args->fail_policy));
     manifest.add_config("deadline_ms", args->deadline_ms);

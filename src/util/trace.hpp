@@ -3,7 +3,7 @@
 /// \brief Structured per-event tracing emitted as JSON.
 ///
 /// The routing engine records one event per net (search effort, window
-/// growths, speculation retries, queue wait) so scaling studies can see
+/// growths, batch and escape fields) so scaling studies can see
 /// *where* wall-clock goes, not just how much. A TraceSink is thread-safe:
 /// worker threads record concurrently and the owner serializes the event
 /// log to a JSON array afterwards. Tracing is opt-in — code paths hold a

@@ -157,7 +157,7 @@ TEST(ChunkedFuzz, RandomHistoryMatchesDenseReference) {
       }
     }
     // Full sweep at the end of the history, including copies: a copied
-    // grid (the snapshot publication path) must carry identical state.
+    // grid must carry identical state.
     const TrackGrid copy = grid;
     for (int i = 0; i < grid.num_h(); ++i) {
       expect_h_equal(grid, ref_h, i, grid.h_span().lo);

@@ -1,7 +1,7 @@
 /// \file engine_determinism_test.cpp
 /// \brief The engine's core contract: for a fixed net ordering, the
 /// parallel engine's LevelBResult is bit-identical to the serial
-/// LevelBRouter's, for any thread count and lookahead.
+/// LevelBRouter's, for any thread count.
 
 #include <gtest/gtest.h>
 
@@ -23,8 +23,8 @@ tig::TrackGrid make_grid(geom::Coord size) {
 }
 
 /// Same generator shape as bench_scaling: degree-2..4 nets with uniform
-/// random terminals; every fifth net is sensitive so speculation also
-/// crosses sensitive commits.
+/// random terminals; every fifth net is sensitive so batches also close
+/// on sensitive commits.
 std::vector<BNet> random_nets(std::uint64_t seed, geom::Coord size,
                               int count, bool with_sensitive) {
   util::Rng rng(seed);
@@ -63,7 +63,7 @@ TEST(EngineDeterminism, Figure1MatchesSerial) {
   const std::vector<BNet> nets = {BNet{1, {instance.b1, instance.b2}}};
   const LevelBResult serial = serial_route(instance.grid, nets);
   ASSERT_TRUE(serial.nets[0].complete);
-  for (int threads : {2, 4, 8, 16}) {
+  for (int threads : {1, 2, 4, 8, 16}) {
     EXPECT_EQ(engine_route(instance.grid, nets, threads), serial)
         << "threads=" << threads;
   }
@@ -73,38 +73,32 @@ TEST(EngineDeterminism, RandomSweepMatchesSerial) {
   for (std::uint64_t seed : {1u, 2u, 3u}) {
     const std::vector<BNet> nets = random_nets(seed, 600, 30, false);
     const LevelBResult serial = serial_route(make_grid(600), nets);
-    for (int threads : {2, 4, 8, 16}) {
-      EXPECT_EQ(engine_route(make_grid(600), nets, threads), serial)
-          << "seed=" << seed << " threads=" << threads;
+    for (EngineMode mode : {EngineMode::kSharded, EngineMode::kAuto}) {
+      EngineOptions options;
+      options.mode = mode;
+      for (int threads : {1, 2, 4, 8, 16}) {
+        EXPECT_EQ(
+            engine_route(make_grid(600), nets, threads, nullptr, options),
+            serial)
+            << "seed=" << seed << " mode=" << engine_mode_name(mode)
+            << " threads=" << threads;
+      }
     }
   }
 }
 
 TEST(EngineDeterminism, SensitiveNetsMatchSerial) {
-  // Sensitive commits blanket-invalidate in-flight speculation; the
-  // recomputed results must still land exactly on the serial answer.
+  // Sensitive commits close their batch, and later nets read the
+  // registry they update; the results must land exactly on the serial
+  // answer.
   const std::vector<BNet> nets = random_nets(7, 500, 25, true);
   const LevelBResult serial = serial_route(make_grid(500), nets);
-  for (int threads : {2, 4}) {
+  for (int threads : {2, 4, 8}) {
     EngineStats stats;
     EXPECT_EQ(engine_route(make_grid(500), nets, threads, &stats), serial)
         << "threads=" << threads;
-    EXPECT_EQ(stats.speculative_commits + stats.speculation_aborts,
+    EXPECT_EQ(stats.sharded_commits + stats.boundary_nets,
               static_cast<long long>(nets.size()));
-  }
-}
-
-TEST(EngineDeterminism, TightLookaheadMatchesSerial) {
-  // lookahead 1 forces fully serial claims; lookahead 2 maximizes
-  // commit/speculation interleaving.
-  const std::vector<BNet> nets = random_nets(11, 400, 20, true);
-  const LevelBResult serial = serial_route(make_grid(400), nets);
-  for (int lookahead : {1, 2}) {
-    EngineOptions options;
-    options.lookahead = lookahead;
-    EXPECT_EQ(engine_route(make_grid(400), nets, 4, nullptr, options),
-              serial)
-        << "lookahead=" << lookahead;
   }
 }
 
@@ -114,8 +108,10 @@ TEST(EngineDeterminism, SingleThreadIsTheSerialRouter) {
   EXPECT_EQ(engine_route(make_grid(300), nets, 1, &stats),
             serial_route(make_grid(300), nets));
   EXPECT_EQ(stats.threads, 1);
-  EXPECT_EQ(stats.speculative_commits, 0);
-  EXPECT_EQ(stats.speculation_aborts, 0);
+  EXPECT_STREQ(stats.mode, "serial");
+  EXPECT_EQ(stats.batches, 0);
+  EXPECT_EQ(stats.sharded_commits, 0);
+  EXPECT_EQ(stats.boundary_nets, 0);
 }
 
 TEST(EngineDeterminism, GridCarriesIdenticalWiring) {
@@ -156,13 +152,13 @@ TEST(EngineDeterminism, TraceRecordsEveryNet) {
   // One "net" event per net plus the run-level "engine" totals event.
   EXPECT_EQ(trace.size(), nets.size() + 1);
   const std::string json = trace.to_json();
-  EXPECT_NE(json.find("\"mode\":\"engine\""), std::string::npos);
-  EXPECT_NE(json.find("\"speculative\""), std::string::npos);
-  EXPECT_NE(json.find("\"queue_wait_us\""), std::string::npos);
-  EXPECT_NE(json.find("\"wasted_vertices\""), std::string::npos);
-  EXPECT_NE(json.find("\"wasted_search_us\""), std::string::npos);
-  EXPECT_NE(json.find("\"grid_copies\""), std::string::npos);
-  EXPECT_NE(json.find("\"lookahead_peak\""), std::string::npos);
+  EXPECT_NE(json.find("\"mode\":\"sharded\""), std::string::npos);
+  EXPECT_NE(json.find("\"escaped\""), std::string::npos);
+  EXPECT_NE(json.find("\"search_us\""), std::string::npos);
+  EXPECT_NE(json.find("\"sharded_wasted_vertices\""), std::string::npos);
+  EXPECT_NE(json.find("\"sharded_wasted_search_us\""), std::string::npos);
+  EXPECT_EQ(json.find("\"speculative\""), std::string::npos);
+  EXPECT_EQ(json.find("\"queue_wait_us\""), std::string::npos);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 /// \file engine_stress_test.cpp
-/// \brief Threaded stress for the engine: many workers, tight lookahead,
+/// \brief Threaded stress for the engine: many workers, tiny halos,
 /// repeated runs. Primarily a ThreadSanitizer target (the CI TSan job
 /// runs exactly this binary); the assertions double as a determinism
 /// check under contention.
@@ -8,6 +8,7 @@
 
 #include <cstdlib>
 
+#include "bench_data/levelb_instance.hpp"
 #include "engine/engine.hpp"
 #include "levelb/router.hpp"
 #include "util/rng.hpp"
@@ -47,62 +48,72 @@ std::vector<BNet> dense_nets(std::uint64_t seed, geom::Coord size,
   return nets;
 }
 
+/// Local nets over a die far wider than the shard halo: the plan forms
+/// wide batches, so every worker of a batch searches at once.
+bench_data::LevelBInstance local_instance(std::uint64_t seed, int count) {
+  bench_data::LevelBSpec spec;
+  spec.seed = seed;
+  spec.size = 3000;
+  spec.num_nets = count;
+  spec.locality = 40;
+  spec.sensitive_every = 7;
+  return bench_data::generate_levelb_instance(spec);
+}
+
+levelb::LevelBResult serial_route(tig::TrackGrid grid,
+                                  const std::vector<BNet>& nets) {
+  levelb::LevelBRouter serial(grid);
+  return serial.route(nets);
+}
+
 TEST(EngineStress, RepeatedContendedRunsStayDeterministic) {
-  // Small grid + many nets = dense occupancy = frequent speculation
-  // conflicts. Every run must still reproduce the serial answer.
+  // Small grid + many nets = dense occupancy. A 1-pitch halo still packs
+  // overlapping nets into shared batches, so region escapes are frequent;
+  // every run must reproduce the serial answer.
   const std::vector<BNet> nets = dense_nets(21, 260, 40);
-  tig::TrackGrid serial_grid =
-      tig::TrackGrid::uniform(Rect(0, 0, 260, 260), 9, 11);
-  levelb::LevelBRouter serial(serial_grid);
-  const levelb::LevelBResult expected = serial.route(nets);
+  const levelb::LevelBResult expected = serial_route(
+      tig::TrackGrid::uniform(Rect(0, 0, 260, 260), 9, 11), nets);
 
   for (int iteration = 0; iteration < 3; ++iteration) {
     tig::TrackGrid grid =
         tig::TrackGrid::uniform(Rect(0, 0, 260, 260), 9, 11);
     EngineOptions options;
     options.threads = stress_threads(8);
-    options.lookahead = 3;  // tight window keeps commits racing searches
+    options.shard_halo_pitches = 1;
     RoutingEngine engine(grid, options);
     EXPECT_EQ(engine.route(nets), expected) << "iteration " << iteration;
     const EngineStats& stats = engine.stats();
-    EXPECT_EQ(stats.speculative_commits + stats.speculation_aborts,
+    EXPECT_EQ(stats.sharded_commits + stats.boundary_nets,
               static_cast<long long>(nets.size()));
+    EXPECT_GT(stats.max_batch_size, 1);
   }
 }
 
-TEST(EngineStress, WideLookaheadManyThreads) {
-  const std::vector<BNet> nets = dense_nets(33, 400, 30);
-  tig::TrackGrid serial_grid =
-      tig::TrackGrid::uniform(Rect(0, 0, 400, 400), 9, 11);
-  levelb::LevelBRouter serial(serial_grid);
-  const levelb::LevelBResult expected = serial.route(nets);
+TEST(EngineStress, LocalNetsManyThreads) {
+  const bench_data::LevelBInstance inst = local_instance(33, 120);
+  const levelb::LevelBResult expected = serial_route(inst.grid, inst.nets);
 
-  tig::TrackGrid grid = tig::TrackGrid::uniform(Rect(0, 0, 400, 400), 9, 11);
+  tig::TrackGrid grid = inst.grid;
   EngineOptions options;
   options.threads = stress_threads(8);
-  options.lookahead = 64;  // deep speculation: most nets race many commits
   RoutingEngine engine(grid, options);
-  EXPECT_EQ(engine.route(nets), expected);
+  EXPECT_EQ(engine.route(inst.nets), expected);
+  EXPECT_GT(engine.stats().max_batch_size, 1);
 }
 
 TEST(EngineStress, SixteenWorkersWithOverlaysMatchSerial) {
-  // More workers than positions in the adaptive window: overlays rebase
-  // and catch up from the commit log constantly, and the per-slot atomics
-  // see maximum publish/take concurrency.
-  const std::vector<BNet> nets = dense_nets(55, 320, 48);
-  tig::TrackGrid serial_grid =
-      tig::TrackGrid::uniform(Rect(0, 0, 320, 320), 9, 11);
-  levelb::LevelBRouter serial(serial_grid);
-  const levelb::LevelBResult expected = serial.route(nets);
+  // More workers than most batches have members: every worker builds its
+  // overlay over the shared live grid, and the cursor hands out positions
+  // under maximum contention.
+  const bench_data::LevelBInstance inst = local_instance(55, 160);
+  const levelb::LevelBResult expected = serial_route(inst.grid, inst.nets);
 
-  tig::TrackGrid grid = tig::TrackGrid::uniform(Rect(0, 0, 320, 320), 9, 11);
+  tig::TrackGrid grid = inst.grid;
   EngineOptions options;
   options.threads = stress_threads(16);
   RoutingEngine engine(grid, options);
-  EXPECT_EQ(engine.route(nets), expected);
-  const EngineStats& stats = engine.stats();
-  // Incremental publication: far fewer grid copies than commits.
-  EXPECT_LT(stats.grid_copies, static_cast<long long>(nets.size()));
+  EXPECT_EQ(engine.route(inst.nets), expected);
+  EXPECT_GT(engine.stats().max_batch_size, 1);
 }
 
 }  // namespace

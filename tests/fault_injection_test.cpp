@@ -1,9 +1,9 @@
 /// \file fault_injection_test.cpp
 /// \brief Forces failures at every degradation-ladder rung through the
 /// fault registry and asserts the router degrades instead of crashing:
-/// rung 1 (serial re-route of faulted/poisoned commits), rung 2 (rip-up
-/// recovery), rung 3 (drop the net, keep the layout consistent). Also
-/// covers flow::run's outcome classification and exit-code contract.
+/// rung 1 (serial re-route of faulted or failed batch searches), rung 2
+/// (rip-up recovery), rung 3 (drop the net, keep the layout consistent).
+/// Also covers flow::run's outcome classification and exit-code contract.
 
 #include <gtest/gtest.h>
 
@@ -88,8 +88,8 @@ TEST_F(FaultLadder, CommitterFaultRungOneIsBitIdentical) {
   EXPECT_EQ(faulted, expected);
 }
 
-/// Rung 1 via a dying worker: a poisoned speculation (worker fault) is
-/// recovered by the committer's serial recompute — still bit-identical.
+/// Rung 1 via a dying worker: a batch position a worker left unrouted
+/// (worker fault) is recovered by a serial re-route — still bit-identical.
 TEST_F(FaultLadder, WorkerFaultIsRecoveredSerially) {
   util::FaultRegistry::global().clear();
   const levelb::LevelBResult expected = route_instance(1);
@@ -103,23 +103,8 @@ TEST_F(FaultLadder, WorkerFaultIsRecoveredSerially) {
   EXPECT_EQ(faulted, expected);
 }
 
-/// A degraded scheduler claim poisons the speculation before any search
-/// happens; the committer recovers it exactly like a dead worker.
-TEST_F(FaultLadder, SchedulerFaultIsRecoveredSerially) {
-  util::FaultRegistry::global().clear();
-  const levelb::LevelBResult expected = route_instance(1);
-
-  ASSERT_TRUE(util::FaultRegistry::global()
-                  .configure("engine.scheduler.claim=~0.2;seed=5")
-                  .ok());
-  engine::EngineStats stats;
-  const levelb::LevelBResult faulted = route_with_stats(4, &stats);
-  EXPECT_GT(stats.worker_failures, 0);
-  EXPECT_EQ(faulted, expected);
-}
-
 /// A worker task that throws at the pool boundary must not deadlock the
-/// committer (abandonment detection) or change the result.
+/// batch barrier or change the result.
 TEST_F(FaultLadder, DyingPoolTaskDoesNotDeadlockOrDiverge) {
   util::FaultRegistry::global().clear();
   const levelb::LevelBResult expected = route_instance(1);

@@ -42,7 +42,7 @@ TEST(FlowEngine, Ami33OverCellIsThreadCountInvariant) {
   ASSERT_TRUE(serial.success);
   EXPECT_EQ(serial.levelb_threads, 1);
 
-  for (int threads : {2, 4}) {
+  for (int threads : {2, 4, 8}) {
     FlowOptions options;
     options.levelb_threads = threads;
     FlowArtifacts artifacts;
@@ -50,8 +50,8 @@ TEST(FlowEngine, Ami33OverCellIsThreadCountInvariant) {
         run_over_cell_flow(ml, partition, options, &artifacts);
     expect_same_metrics(serial, parallel);
     EXPECT_EQ(parallel.levelb_threads, threads);
-    EXPECT_EQ(parallel.levelb_speculative_commits +
-                  parallel.levelb_speculation_aborts,
+    EXPECT_EQ(parallel.levelb_engine_mode, "sharded");
+    EXPECT_EQ(parallel.levelb_sharded_commits + parallel.levelb_boundary_nets,
               static_cast<long long>(parallel.levelb_nets));
     // The committed level-B wiring itself must be bit-identical.
     EXPECT_EQ(artifacts.levelb, serial_artifacts.levelb)

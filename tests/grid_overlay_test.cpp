@@ -1,17 +1,14 @@
 /// \file grid_overlay_test.cpp
-/// \brief GridOverlay equivalence: a (base snapshot + overlay) pair must
-/// answer every occupancy query exactly as the mutated deep copy the
-/// engine's workers used to make — fuzzed over randomized commit/brace
-/// sequences, plus targeted rebase/catch-up cases mirroring the worker
-/// loop.
+/// \brief GridOverlay equivalence: a (base grid + overlay) pair must
+/// answer every occupancy query exactly as a mutated deep copy — fuzzed
+/// over randomized block/brace sequences, plus targeted brace and rebase
+/// cases mirroring the engine's batch workers.
 
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <vector>
 
 #include "tig/overlay.hpp"
-#include "tig/snapshot.hpp"
 #include "util/rng.hpp"
 
 namespace ocr::tig {
@@ -19,7 +16,6 @@ namespace {
 
 using geom::Coord;
 using geom::Interval;
-using geom::Orientation;
 using geom::Rect;
 
 TrackGrid make_grid(Coord size) {
@@ -187,52 +183,6 @@ TEST(GridOverlay, BraceRoundTripLeavesQueriesAtBase) {
   expect_equivalent(overlay, base, rng, size);
 }
 
-TEST(GridOverlay, CommitLogCatchUpMatchesLiveGrid) {
-  // The worker-loop pattern: an overlay over a stale snapshot, caught up
-  // by replaying commit-log batches, must answer exactly like the live
-  // grid after those applies.
-  const Coord size = 240;
-  for (std::uint64_t seed : {2u, 9u}) {
-    util::Rng rng(seed);
-    TrackGrid live = make_grid(size);
-    VersionedGrid versioned(live, /*expected_commits=*/32,
-                            /*snapshot_refresh_interval=*/64);
-    const auto snap0 = versioned.snapshot();
-
-    GridOverlay overlay(&snap0->grid);
-    std::uint64_t applied = snap0->epoch;
-    for (int batch = 0; batch < 20; ++batch) {
-      std::vector<CommitOp> ops;
-      const int count = static_cast<int>(rng.uniform_int(1, 3));
-      for (int o = 0; o < count; ++o) {
-        const bool horizontal = rng.uniform_int(0, 1) == 0;
-        const int tracks = horizontal ? live.num_h() : live.num_v();
-        ops.push_back(CommitOp{
-            TrackRef{horizontal ? Orientation::kHorizontal
-                                : Orientation::kVertical,
-                     static_cast<int>(rng.uniform_int(0, tracks - 1))},
-            random_span(rng, size), /*block=*/true});
-      }
-      versioned.apply(std::move(ops));
-
-      while (applied < versioned.epoch()) {
-        const CommitRecord* record = versioned.log().record_at(applied);
-        ASSERT_NE(record, nullptr);
-        for (const CommitOp& op : record->ops) {
-          overlay.apply(op.track, op.span, op.block);
-        }
-        ++applied;
-      }
-      if (batch % 5 == 4) expect_equivalent(overlay, live, rng, size);
-    }
-    expect_equivalent(overlay, live, rng, size);
-    // The whole catch-up never copied the grid beyond the one epoch-0
-    // snapshot (refresh interval 64 > 20 batches).
-    EXPECT_EQ(versioned.snapshot_copies(), 1u);
-    EXPECT_EQ(versioned.snapshot().get(), snap0.get());
-  }
-}
-
 TEST(GridOverlay, RebaseDropsDeltasInOTouched) {
   util::Rng rng(3);
   const Coord size = 200;
@@ -248,44 +198,6 @@ TEST(GridOverlay, RebaseDropsDeltasInOTouched) {
   EXPECT_EQ(overlay.touched_tracks(), 0u);
   EXPECT_TRUE(overlay.h_is_free(2, Interval(10, 50)));
   expect_equivalent(overlay, base, rng, size);
-}
-
-TEST(GridOverlay, IncrementalSnapshotRefreshMatchesFullCopy) {
-  // VersionedGrid's incremental publication: a snapshot produced by
-  // patching the previous snapshot with logged batches must equal a
-  // from-scratch copy of the live grid.
-  const Coord size = 240;
-  util::Rng rng(17);
-  TrackGrid live = make_grid(size);
-  VersionedGrid versioned(live, /*expected_commits=*/64,
-                          /*snapshot_refresh_interval=*/4);
-  auto last = versioned.snapshot();
-  EXPECT_EQ(versioned.snapshot_copies(), 1u);
-  for (int batch = 0; batch < 24; ++batch) {
-    const bool horizontal = rng.uniform_int(0, 1) == 0;
-    const int tracks = horizontal ? live.num_h() : live.num_v();
-    versioned.apply({CommitOp{
-        TrackRef{horizontal ? Orientation::kHorizontal
-                            : Orientation::kVertical,
-                 static_cast<int>(rng.uniform_int(0, tracks - 1))},
-        random_span(rng, size)}});
-    const auto snap = versioned.snapshot();
-    // The cached snapshot lags by fewer epochs than the refresh
-    // interval, and refreshed ones carry exactly the live occupancy.
-    EXPECT_LT(versioned.epoch() - snap->epoch, 4u);
-    if (snap != last) {
-      for (int i = 0; i < live.num_h(); ++i) {
-        ASSERT_EQ(snap->grid.h_blocked(i).runs(), live.h_blocked(i).runs());
-      }
-      for (int j = 0; j < live.num_v(); ++j) {
-        ASSERT_EQ(snap->grid.v_blocked(j).runs(), live.v_blocked(j).runs());
-      }
-      last = snap;
-    }
-  }
-  // 24 epochs at refresh interval 4: 1 initial + 6 refreshes, far fewer
-  // than the 24 per-epoch copies the old scheme performed.
-  EXPECT_EQ(versioned.snapshot_copies(), 7u);
 }
 
 }  // namespace

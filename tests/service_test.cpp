@@ -78,6 +78,14 @@ TEST(JobSpecValidation, RejectsBadKnobs) {
   request = ami33_request("a");
   request.deadline_ms = -5;
   EXPECT_FALSE(spec_from_request(request).ok());
+  request = ami33_request("a");
+  request.engine_mode = "speculative";
+  const util::StatusOr<JobSpec> retired = spec_from_request(request);
+  ASSERT_FALSE(retired.ok());
+  EXPECT_EQ(retired.status().kind(), util::StatusKind::kInvalidArgument);
+  EXPECT_EQ(retired.status().stage(), "job");
+  EXPECT_NE(retired.status().message().find("sharded, auto"),
+            std::string::npos);
 }
 
 TEST(JobSpecValidation, RequiresExactlyOneInstanceSource) {

@@ -142,7 +142,7 @@ TEST(ShardPartition, LocalNetsFormWideBatches) {
 TEST(ShardPartition, OverlappingNetsDegradeToSerialBatches) {
   // Every net spanning the whole die: no two can share a batch, so the
   // plan degenerates to one singleton per position (auto mode's signal to
-  // stay speculative).
+  // route serially).
   Instance inst = random_instance(5, 300, 12, 300, 0);
   for (auto& terms : inst.terminals) {
     if (terms.empty()) continue;

@@ -1,13 +1,15 @@
 /// \file sharded_engine_test.cpp
-/// \brief The sharded engine mode's contract: bit-identical to the serial
-/// router at any thread count, with ZERO speculation — no aborts, no
-/// rebase, no wasted work for intra-batch nets. Region escapes surface as
-/// boundary_nets and are recovered serially, never as wrong wiring.
+/// \brief The sharded engine's contract: bit-identical to the serial
+/// router at any thread count, with no wasted work for intra-batch nets.
+/// Region escapes surface as boundary_nets and are recovered serially,
+/// never as wrong wiring. Auto mode picks sharded or serial from the
+/// plan's mean batch.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "bench_data/levelb_instance.hpp"
 #include "engine/engine.hpp"
 #include "levelb/router.hpp"
 #include "util/rng.hpp"
@@ -70,16 +72,10 @@ LevelBResult sharded_route(tig::TrackGrid grid,
   return result;
 }
 
-/// The zero-speculation claim plus the per-position accounting: every
-/// position lands in exactly one of {batch commit, boundary re-route} on
-/// a fault-free run, and the speculative machinery never engages.
+/// The per-position accounting: every position lands in exactly one of
+/// {batch commit, boundary re-route} on a fault-free run.
 void expect_sharded_accounting(const EngineStats& stats, std::size_t n) {
   EXPECT_STREQ(stats.mode, "sharded");
-  EXPECT_EQ(stats.speculation_aborts, 0);
-  EXPECT_EQ(stats.speculative_commits, 0);
-  EXPECT_EQ(stats.wasted_vertices, 0);
-  EXPECT_EQ(stats.wasted_search_us, 0);
-  EXPECT_EQ(stats.queue_wait_us, 0);
   EXPECT_EQ(stats.worker_failures, 0);
   EXPECT_EQ(stats.sharded_commits + stats.boundary_nets,
             static_cast<long long>(n));
@@ -109,9 +105,6 @@ TEST(ShardedEngine, ClusteredPlanExposesParallelism) {
   expect_sharded_accounting(stats, nets.size());
   EXPECT_LT(stats.batches, static_cast<long long>(nets.size()));
   EXPECT_GT(stats.max_batch_size, 1);
-  // The zero-copy contract: workers share the live grid between commit
-  // phases, so the sharded path never copies the grid at all.
-  EXPECT_EQ(stats.grid_copies, 0);
 }
 
 TEST(ShardedEngine, SensitiveNetsMatchSerial) {
@@ -165,9 +158,9 @@ TEST(ShardedEngine, AutoPicksShardedOnLocalWorkload) {
   EXPECT_EQ(result, serial_route(make_grid(3000), nets));
 }
 
-TEST(ShardedEngine, AutoFallsBackToSpeculativeOnOverlap) {
+TEST(ShardedEngine, AutoFallsBackToSerialOnOverlap) {
   // Die-spanning nets give a degenerate plan (mean batch ~1); auto must
-  // keep the speculative engine, and the answer is still serial-exact.
+  // run the serial router, and the answer is still serial-exact.
   std::vector<BNet> nets = clustered_nets(15, 400, 20, 400, false);
   for (BNet& net : nets) {
     net.terminals.front() = Point{0, 0};
@@ -179,8 +172,42 @@ TEST(ShardedEngine, AutoFallsBackToSpeculativeOnOverlap) {
   tig::TrackGrid grid = make_grid(400);
   RoutingEngine engine(grid, options);
   const LevelBResult result = engine.route(nets);
-  EXPECT_STREQ(engine.stats().mode, "speculative");
+  EXPECT_STREQ(engine.stats().mode, "serial");
+  EXPECT_LT(engine.stats().plan_mean_batch, kAutoMinMeanBatch);
+  EXPECT_EQ(engine.stats().batches, 0);
   EXPECT_EQ(result, serial_route(make_grid(400), nets));
+}
+
+TEST(ShardedEngine, AutoFollowsThePlanMeanBatch) {
+  // ami33's plan is mostly singleton batches: auto routes it serially.
+  // sparse-5000's local nets form wide batches: auto shards it. Either
+  // way the wiring is the 1-thread route's.
+  struct Case {
+    bench_data::LevelBInstance inst;
+    bool wide;
+  };
+  const Case cases[] = {
+      {bench_data::ami33_levelb_instance(), false},
+      {bench_data::generate_levelb_instance(bench_data::sparse5000_spec()),
+       true},
+  };
+  for (const Case& c : cases) {
+    const LevelBResult serial = serial_route(c.inst.grid, c.inst.nets);
+    EngineOptions options;
+    options.threads = 4;
+    options.mode = EngineMode::kAuto;
+    tig::TrackGrid grid = c.inst.grid;
+    RoutingEngine engine(grid, options);
+    EXPECT_EQ(engine.route(c.inst.nets), serial) << c.inst.name;
+    const EngineStats& stats = engine.stats();
+    if (c.wide) {
+      EXPECT_GE(stats.plan_mean_batch, kAutoMinMeanBatch) << c.inst.name;
+      EXPECT_STREQ(stats.mode, "sharded") << c.inst.name;
+    } else {
+      EXPECT_LT(stats.plan_mean_batch, kAutoMinMeanBatch) << c.inst.name;
+      EXPECT_STREQ(stats.mode, "serial") << c.inst.name;
+    }
+  }
 }
 
 TEST(ShardedEngine, SingleThreadIsTheSerialRouter) {
@@ -238,15 +265,20 @@ TEST(ShardedEngine, TraceRecordsEveryNetWithBatchFields) {
 }
 
 TEST(ShardedEngine, ModeNamesRoundTrip) {
-  EngineMode mode = EngineMode::kSpeculative;
-  for (EngineMode m : {EngineMode::kSpeculative, EngineMode::kSharded,
-                       EngineMode::kAuto}) {
-    ASSERT_TRUE(parse_engine_mode(engine_mode_name(m), &mode));
-    EXPECT_EQ(mode, m);
+  for (EngineMode m : {EngineMode::kSharded, EngineMode::kAuto}) {
+    const util::StatusOr<EngineMode> parsed =
+        parse_engine_mode(engine_mode_name(m));
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(parsed.value(), m);
   }
-  mode = EngineMode::kAuto;
-  EXPECT_FALSE(parse_engine_mode("bogus", &mode));
-  EXPECT_EQ(mode, EngineMode::kAuto);  // untouched on failure
+  for (const char* bad : {"bogus", "speculative", ""}) {
+    const util::StatusOr<EngineMode> parsed = parse_engine_mode(bad);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().kind(), util::StatusKind::kInvalidArgument);
+    EXPECT_EQ(parsed.status().stage(), "engine");
+    EXPECT_NE(parsed.status().message().find("sharded, auto"),
+              std::string::npos);
+  }
 }
 
 }  // namespace
