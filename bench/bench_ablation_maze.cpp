@@ -57,7 +57,7 @@ void BM_Mbfs(benchmark::State& state) {
   const auto size = static_cast<geom::Coord>(state.range(0));
   const auto grid = make_grid(size, static_cast<int>(size) / 100, 7);
   const levelb::PathFinder finder(grid);
-  const auto ctx = levelb::make_cost_context(grid, nullptr);
+  const auto ctx = levelb::make_cost_context(grid);
   util::Rng rng(99);
   for (auto _ : state) {
     auto [a, b] = far_pair(grid, rng);
@@ -95,7 +95,7 @@ void print_quality_table() {
   for (geom::Coord size : {500, 1000, 2000}) {
     const auto grid = make_grid(size, static_cast<int>(size) / 100, 7);
     const levelb::PathFinder finder(grid);
-    const auto ctx = levelb::make_cost_context(grid, nullptr);
+    const auto ctx = levelb::make_cost_context(grid);
     util::Rng rng(99);
     long long mbfs_examined = 0;
     long long mbfs_wl = 0;

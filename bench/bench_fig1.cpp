@@ -23,7 +23,7 @@ int main() {
   levelb::PathFinder::Options options;
   options.keep_trees = true;
   const levelb::PathFinder finder(fig.grid, options);
-  const auto ctx = levelb::make_cost_context(fig.grid, nullptr);
+  const auto ctx = levelb::make_cost_context(fig.grid);
   const auto result = finder.connect(fig.b1, fig.b2, ctx);
 
   std::puts("\nFigure 2: Path Selection Trees for net B");

@@ -127,8 +127,8 @@ Prepared prepare_final_occupancy(const Instance& inst) {
   const std::vector<std::size_t> order =
       levelb::order_nets(inst.nets, levelb::NetOrdering::kLongestFirst);
   p.snapped = levelb::snap_and_reserve_terminals(p.grid, inst.nets);
-  const levelb::UnroutedSuffix unrouted(p.snapped, order);
   const levelb::LevelBOptions options;
+  const levelb::UnroutedSuffix unrouted(p.snapped, order, p.grid, options);
   levelb::SearchStats stats;
   for (std::size_t k = 0; k < order.size(); ++k) {
     const levelb::BNet& net = inst.nets[order[k]];
@@ -138,8 +138,8 @@ Prepared prepare_final_occupancy(const Instance& inst) {
     std::vector<levelb::Committed> committed;
     levelb::route_single_net(
         p.grid, options,
-        levelb::NetRouteRequest{net.id, &p.snapped[order[k]],
-                                unrouted.suffix(k), nullptr},
+        levelb::NetRouteRequest{net.id, &p.snapped[order[k]], &unrouted, k,
+                                nullptr},
         committed, stats);
     for (const Point& pt : p.snapped[order[k]]) {
       levelb::block_terminal(p.grid, pt);
@@ -188,7 +188,7 @@ SweepResult run_sweep(const Prepared& p, const std::vector<Query>& queries,
   SweepResult out;
   if (record_latency) out.latencies_us.reserve(queries.size());
   const levelb::PathFinder finder(grid, levelb::PathFinderOptions{});
-  const levelb::CostContext ctx = levelb::make_cost_context(grid, nullptr);
+  const levelb::CostContext ctx = levelb::make_cost_context(grid);
   // Caller-owned scratch, reused across the whole sweep — the same
   // lifecycle the serial router and engine workers use.
   levelb::SearchWorkspace ws;

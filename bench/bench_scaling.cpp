@@ -20,6 +20,16 @@
 /// reporting jobs/sec and p50/p95 end-to-end latency (submit to
 /// completion callback), with a determinism check across every result.
 /// Combines with `--json`/`--repeat` the same way.
+///
+/// `--sweep N,N,...` switches to the net-count sweep instead: sparse-100k
+/// truncated to each N nets, routed serially cold, reporting per-net µs
+/// with host provenance (nproc, build type, compiler, git revision).
+/// Routing cost linear in the net count keeps per-net µs flat.
+///
+/// `--label L` stamps every row with "label": L. `--append` merges the
+/// rows into an existing BENCH_scaling.json (io::merge_bench_rows) instead
+/// of overwriting it: a row replaces only the row with the same
+/// (label, kind, instance, mode, threads), so committed history survives.
 
 #include <benchmark/benchmark.h>
 
@@ -36,6 +46,7 @@
 
 #include "bench_data/levelb_instance.hpp"
 #include "engine/engine.hpp"
+#include "io/bench_rows.hpp"
 #include "levelb/router.hpp"
 #include "service/executor.hpp"
 #include "service/job.hpp"
@@ -47,6 +58,7 @@
 #include "util/rng.hpp"
 #include "util/str.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 
 namespace {
@@ -484,6 +496,68 @@ void print_memory_table(util::TraceSink* json, int repeat, bool large) {
   std::fputs(table.render().c_str(), stdout);
 }
 
+/// Net-count sweep (`--sweep`): sparse-100k truncated to each of
+/// \p points nets, routed serially from a cold grid copy. Per-net µs
+/// stays flat when routing cost is linear in the net count; the dup cost
+/// term's scan of every unrouted terminal used to make it grow with N.
+void print_net_sweep(util::TraceSink* json, int repeat,
+                     const std::vector<int>& points) {
+  util::TextTable table;
+  table.set_header({"Nets", "Wall ms", "Per-net us", "Routed",
+                    "Vertices examined"});
+  double min_us = 0.0;
+  double max_us = 0.0;
+  for (const int n : points) {
+    bench_data::LevelBSpec spec = bench_data::sparse100k_spec();
+    spec.num_nets = n;
+    const bench_data::LevelBInstance inst =
+        bench_data::generate_levelb_instance(spec);
+    levelb::LevelBResult result;
+    const double wall_ms = median_wall_ms(repeat, [&] {
+      tig::TrackGrid grid = inst.grid;
+      levelb::LevelBRouter router(grid);
+      const auto t0 = std::chrono::steady_clock::now();
+      result = router.route(inst.nets);
+      return std::chrono::duration<double, std::milli>(
+                 std::chrono::steady_clock::now() - t0)
+          .count();
+    });
+    const double per_net_us = 1000.0 * wall_ms / n;
+    min_us = min_us == 0.0 ? per_net_us : std::min(min_us, per_net_us);
+    max_us = std::max(max_us, per_net_us);
+    table.add_row({util::format("%d", n), util::format("%.1f", wall_ms),
+                   util::format("%.1f", per_net_us),
+                   util::format("%d", result.routed_nets),
+                   util::format("%lld", result.vertices_examined)});
+    if (json != nullptr) {
+      util::TraceEvent ev("net_sweep");
+      ev.add("instance", util::format("%s/%d", spec.name.c_str(), n))
+          .add("mode", "serial")
+          .add("threads", 1)
+          .add("nets", n)
+          .add("wall_ms", wall_ms)
+          .add("per_net_us", per_net_us)
+          .add("routed_nets", result.routed_nets)
+          .add("vertices_examined", result.vertices_examined)
+          .add("repeat", repeat)
+          .add("nproc", util::ThreadPool::hardware_threads())
+          .add("build_type", util::build_type())
+          .add("compiler", util::build_compiler())
+          .add("git_revision", util::build_git_revision());
+      json->record(std::move(ev));
+    }
+  }
+  std::printf("\nNet-count sweep (sparse-100k die truncated to N nets, "
+              "serial cold route; %d hardware threads, %s, %s, rev %s)\n",
+              util::ThreadPool::hardware_threads(), util::build_type(),
+              util::build_compiler(), util::build_git_revision());
+  std::fputs(table.render().c_str(), stdout);
+  if (min_us > 0.0) {
+    std::printf("per-net us max/min across the sweep: %.2fx\n",
+                max_us / min_us);
+  }
+}
+
 /// Service throughput study (`--service`): a fixed batch of ami33 jobs
 /// through the JobExecutor at 1/2/4 workers. Latency is end-to-end per
 /// job — submit() to the completion callback, so queue wait counts —
@@ -608,16 +682,40 @@ void print_service_table(util::TraceSink* json, int repeat) {
 
 int main(int argc, char** argv) {
   bool write_json = false;
+  bool append = false;
   bool service_mode = false;
   bool large = false;
   bool memory_only = false;
   int repeat = 1;
+  std::string label;
+  std::vector<int> sweep;
   // Strip our flags before google-benchmark parses the rest.
   for (int i = 1; i < argc;) {
     if (std::strcmp(argv[i], "--json") == 0) {
       write_json = true;
       for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
       --argc;
+    } else if (std::strcmp(argv[i], "--append") == 0) {
+      append = true;
+      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
+      --argc;
+    } else if (std::strcmp(argv[i], "--label") == 0 && i + 1 < argc) {
+      label = argv[i + 1];
+      for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
+      argc -= 2;
+    } else if (std::strcmp(argv[i], "--sweep") == 0 && i + 1 < argc) {
+      for (const std::string& point : util::split(argv[i + 1], ',')) {
+        const util::StatusOr<long long> n =
+            util::parse_int(point, 1, 1000000);
+        if (!n.ok()) {
+          std::fprintf(stderr, "--sweep: %s\n",
+                       n.status().message().c_str());
+          return 2;
+        }
+        sweep.push_back(static_cast<int>(*n));
+      }
+      for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
+      argc -= 2;
     } else if (std::strcmp(argv[i], "--service") == 0) {
       service_mode = true;
       for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
@@ -634,19 +732,31 @@ int main(int argc, char** argv) {
       for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
       --argc;
     } else if (std::strcmp(argv[i], "--repeat") == 0 && i + 1 < argc) {
-      repeat = std::max(1, std::atoi(argv[i + 1]));
+      const util::StatusOr<long long> n = util::parse_int(argv[i + 1], 1, 1000);
+      if (!n.ok()) {
+        std::fprintf(stderr, "--repeat: %s\n", n.status().message().c_str());
+        return 2;
+      }
+      repeat = static_cast<int>(*n);
       for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
       argc -= 2;
     } else {
       ++i;
     }
   }
+  if (append && label.empty()) {
+    std::fputs("--append requires --label\n", stderr);
+    return 2;
+  }
+  write_json = write_json || append;
   benchmark::Initialize(&argc, argv);
-  if (!service_mode) benchmark::RunSpecifiedBenchmarks();
+  if (!service_mode && sweep.empty()) benchmark::RunSpecifiedBenchmarks();
 
   util::TraceSink json;
   util::TraceSink* sink = write_json ? &json : nullptr;
-  if (service_mode) {
+  if (!sweep.empty()) {
+    print_net_sweep(sink, repeat, sweep);
+  } else if (service_mode) {
     print_service_table(sink, repeat);
   } else if (memory_only) {
     print_memory_table(sink, repeat, large);
@@ -658,11 +768,30 @@ int main(int argc, char** argv) {
   }
   if (write_json) {
     const std::string path = "BENCH_scaling.json";
-    if (!json.write_json_file(path)) {
-      std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-      return 1;
+    std::vector<util::TraceEvent> rows = json.events();
+    if (!label.empty()) {
+      for (util::TraceEvent& row : rows) {
+        row.fields.insert(row.fields.begin(), {"label", label});
+      }
     }
-    std::printf("\nwrote %s (%zu records)\n", path.c_str(), json.size());
+    if (append) {
+      const util::Status merged = io::merge_bench_rows(path, rows);
+      if (!merged.ok()) {
+        std::fprintf(stderr, "error: %s\n", merged.to_string().c_str());
+        return 1;
+      }
+      std::printf("\nmerged %zu records into %s\n", rows.size(),
+                  path.c_str());
+    } else {
+      util::TraceSink labelled;
+      for (util::TraceEvent& row : rows) labelled.record(std::move(row));
+      if (!labelled.write_json_file(path)) {
+        std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+        return 1;
+      }
+      std::printf("\nwrote %s (%zu records)\n", path.c_str(),
+                  labelled.size());
+    }
 
     // Companion run manifest (see docs/OBSERVABILITY.md): config,
     // provenance and the metrics accumulated across every table run.
@@ -671,6 +800,8 @@ int main(int argc, char** argv) {
     manifest.add_config("service", service_mode);
     manifest.add_config("large", large);
     manifest.add_config("memory_only", memory_only);
+    manifest.add_config("label", label);
+    manifest.add_config("append", append);
     manifest.add_outcome("records", static_cast<long long>(json.size()));
     manifest.capture_metrics(util::MetricsRegistry::global());
     const std::string mpath = "BENCH_scaling.manifest.json";

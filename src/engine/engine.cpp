@@ -89,8 +89,9 @@ util::StatusOr<EngineMode> parse_engine_mode(const std::string& name) {
 }
 
 /// The parallel prologue, identical to the serial router's: the ordering,
-/// the snapped terminal reservations, and the unrouted-suffix views fix
-/// everything a net's search depends on besides grid occupancy. Built
+/// the snapped terminal reservations, and the dup term's terminal index
+/// (shared read-only by every worker) fix everything a net's search
+/// depends on besides grid occupancy. Built
 /// exactly once per route() — terminal reservation mutates the grid, and
 /// the shard plan must be derived from the same snapped terminals either
 /// dispatch will route.
@@ -126,7 +127,7 @@ LevelBResult RoutingEngine::route(const std::vector<BNet>& nets) {
   Prepared prep;
   prep.order = levelb::order_nets(nets, options_.levelb.ordering);
   prep.snapped = levelb::snap_and_reserve_terminals(grid_, nets);
-  prep.unrouted.emplace(prep.snapped, prep.order);
+  prep.unrouted.emplace(prep.snapped, prep.order, grid_, options_.levelb);
   const std::size_t n = prep.order.size();
   prep.nets_by_position.resize(n);
   prep.terminals_by_position.resize(n);
@@ -279,8 +280,7 @@ LevelBResult RoutingEngine::route_sharded(const std::vector<BNet>& nets,
         const auto start = std::chrono::steady_clock::now();
         item.result = levelb::route_single_net(
             grid_, options_.levelb,
-            levelb::NetRouteRequest{net->id, &terminals,
-                                    prep.unrouted->suffix(k),
+            levelb::NetRouteRequest{net->id, &terminals, &*prep.unrouted, k,
                                     sensitive.get()},
             item.committed, item.stats, nullptr, &workspace);
         item.search_us = micros_since(start);

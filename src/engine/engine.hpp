@@ -103,9 +103,10 @@ class RoutingEngine {
 
  private:
   /// The parallel prologue — ordering, snapped terminal reservations,
-  /// unrouted suffixes, shard plan (defined in engine.cpp). Built once per
-  /// route() so auto mode can plan before either dispatch runs (terminal
-  /// reservation mutates the grid and must happen exactly once).
+  /// dup-term terminal index, shard plan (defined in engine.cpp). Built
+  /// once per route() so auto mode can plan before either dispatch runs
+  /// (terminal reservation mutates the grid and must happen exactly
+  /// once).
   struct Prepared;
 
   levelb::LevelBResult route_sharded(const std::vector<levelb::BNet>& nets,

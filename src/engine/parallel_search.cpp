@@ -48,8 +48,8 @@ void BatchSearch::run_worker() {
         OCR_SPAN("engine.search");
         item.result = levelb::route_single_net(
             overlay, options_,
-            levelb::NetRouteRequest{nets_[k]->id, &terminals,
-                                    unrouted_.suffix(k), sensitive_.get()},
+            levelb::NetRouteRequest{nets_[k]->id, &terminals, &unrouted_, k,
+                                    sensitive_.get()},
             item.committed, item.stats, &item.footprint, &workspace);
       }
       item.search_us =

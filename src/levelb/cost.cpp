@@ -6,12 +6,80 @@
 
 namespace ocr::levelb {
 
+namespace {
+
+/// floor(a / b) for b > 0, also for negative a (query points left of or
+/// below the index origin).
+geom::Coord floor_div(geom::Coord a, geom::Coord b) {
+  const geom::Coord q = a / b;
+  return (a % b != 0 && a < 0) ? q - 1 : q;
+}
+
+}  // namespace
+
+TerminalIndex::TerminalIndex(std::span<const geom::Point> points,
+                             geom::Coord cell)
+    : cell_(cell) {
+  if (cell <= 0 || points.empty()) return;
+  origin_ = points.front();
+  for (const geom::Point& p : points) {
+    origin_.x = std::min(origin_.x, p.x);
+    origin_.y = std::min(origin_.y, p.y);
+  }
+  // Sort (row, col, position) triples; position breaks ties, so entries
+  // are position-ascending within a cell.
+  struct Keyed {
+    geom::Coord row, col;
+    std::size_t position;
+  };
+  std::vector<Keyed> keyed;
+  keyed.reserve(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    keyed.push_back(Keyed{(points[i].y - origin_.y) / cell,
+                          (points[i].x - origin_.x) / cell, i});
+  }
+  std::sort(keyed.begin(), keyed.end(), [](const Keyed& a, const Keyed& b) {
+    if (a.row != b.row) return a.row < b.row;
+    if (a.col != b.col) return a.col < b.col;
+    return a.position < b.position;
+  });
+  entries_.reserve(keyed.size());
+  for (const Keyed& k : keyed) {
+    if (keys_.empty() || keys_.back() != std::make_pair(k.row, k.col)) {
+      keys_.emplace_back(k.row, k.col);
+      starts_.push_back(entries_.size());
+    }
+    entries_.push_back(Entry{points[k.position], k.position});
+  }
+  starts_.push_back(entries_.size());
+}
+
+void TerminalIndex::collect(const geom::Point& p, geom::Coord radius,
+                            std::size_t from,
+                            std::vector<DupHit>& hits) const {
+  if (keys_.empty()) return;
+  const geom::Coord row = floor_div(p.y - origin_.y, cell_);
+  const geom::Coord col = floor_div(p.x - origin_.x, cell_);
+  for (geom::Coord r = row - 1; r <= row + 1; ++r) {
+    auto it = std::lower_bound(keys_.begin(), keys_.end(),
+                               std::make_pair(r, col - 1));
+    for (; it != keys_.end() && it->first == r && it->second <= col + 1;
+         ++it) {
+      const std::size_t c = static_cast<std::size_t>(it - keys_.begin());
+      for (std::size_t e = starts_[c]; e < starts_[c + 1]; ++e) {
+        const Entry& entry = entries_[e];
+        if (entry.position < from) continue;
+        const geom::Coord d = geom::manhattan(p, entry.point);
+        if (d < radius) hits.push_back(DupHit{entry.position, d});
+      }
+    }
+  }
+}
+
 CostContext make_cost_context(const tig::GridView& grid,
-                              const std::vector<geom::Point>* unrouted,
                               double dup_radius_pitches,
                               double acf_window_pitches) {
   CostContext ctx;
-  ctx.unrouted_terminals = unrouted;
   geom::Coord h_pitch = 1;
   geom::Coord v_pitch = 1;
   if (grid.num_h() > 1) {
@@ -50,14 +118,26 @@ double corner_drg(const tig::GridView& grid, const CostContext& ctx,
 }
 
 double corner_dup(const CostContext& ctx, const geom::Point& p) {
-  if (ctx.unrouted_terminals == nullptr || ctx.dup_radius <= 0) return 0.0;
+  if (ctx.dup_radius <= 0) return 0.0;
+  const double radius = static_cast<double>(ctx.dup_radius);
   double total = 0.0;
-  for (const geom::Point& u : *ctx.unrouted_terminals) {
-    const geom::Coord d = geom::manhattan(p, u);
-    if (d < ctx.dup_radius) {
-      total += 1.0 - static_cast<double>(d) /
-                         static_cast<double>(ctx.dup_radius);
+  if (ctx.dup_index != nullptr) {
+    // Floating-point addition is not associative: sum in flat-position
+    // order so the total is bit-identical to a scan of the flat list.
+    std::vector<DupHit>& hits = *ctx.dup_hits;
+    hits.clear();
+    ctx.dup_index->collect(p, ctx.dup_radius, ctx.dup_from, hits);
+    std::sort(hits.begin(), hits.end(),
+              [](const DupHit& a, const DupHit& b) {
+                return a.position < b.position;
+              });
+    for (const DupHit& hit : hits) {
+      total += 1.0 - static_cast<double>(hit.distance) / radius;
     }
+  }
+  for (const geom::Point& u : ctx.dup_own) {
+    const geom::Coord d = geom::manhattan(p, u);
+    if (d < ctx.dup_radius) total += 1.0 - static_cast<double>(d) / radius;
   }
   return std::min(total, 4.0);  // cap so one hub cannot dominate wl
 }

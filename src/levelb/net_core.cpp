@@ -84,8 +84,6 @@ int ripup_round(tig::TrackGrid& grid, const LevelBOptions& options,
                 std::vector<NetResult>& results,
                 std::vector<std::vector<Committed>>& committed,
                 SearchStats& stats, SearchWorkspace* workspace) {
-  const std::vector<Point> no_unrouted;
-
   int recovered = 0;
   for (std::size_t f = 0; f < results.size(); ++f) {
     if (results[f].complete || snapped[f].size() < 2) continue;
@@ -135,8 +133,7 @@ int ripup_round(tig::TrackGrid& grid, const LevelBOptions& options,
       std::vector<Committed> f_new;
       NetResult f_result = route_single_net(
           grid, options,
-          NetRouteRequest{nets[f].id, &snapped[f],
-                          std::span<const Point>(no_unrouted), nullptr},
+          NetRouteRequest{nets[f].id, &snapped[f], nullptr, 0, nullptr},
           f_new, stats, nullptr, workspace);
       block_terminals(grid, snapped[f]);
 
@@ -152,8 +149,7 @@ int ripup_round(tig::TrackGrid& grid, const LevelBOptions& options,
       std::vector<Committed> v_new;
       NetResult v_result = route_single_net(
           grid, options,
-          NetRouteRequest{nets[v].id, &snapped[v],
-                          std::span<const Point>(no_unrouted), nullptr},
+          NetRouteRequest{nets[v].id, &snapped[v], nullptr, 0, nullptr},
           v_new, stats, nullptr, workspace);
       block_terminals(grid, snapped[v]);
       if (v_result.complete) {
@@ -389,16 +385,23 @@ NetResult route_single_net(tig::GridView grid,
     targets.erase(std::unique(targets.begin(), targets.end()),
                   targets.end());
 
-    // The dup cost term sees other nets' unrouted terminals plus this
-    // net's still-unattached ones.
+    // The dup cost term sees later nets' terminals (through the route's
+    // index) plus this net's still-unattached ones.
     std::vector<Point>& dup_points = ws.dup_points;
-    dup_points.assign(request.unrouted.begin(), request.unrouted.end());
+    dup_points.clear();
     for (std::size_t t = 0; t < terminals.size(); ++t) {
       if (!attached[t] && t != pick) dup_points.push_back(terminals[t]);
     }
-    CostContext ctx =
-        make_cost_context(grid, &dup_points, options.dup_radius_pitches,
-                          options.acf_window_pitches);
+    CostContext ctx = make_cost_context(grid, options.dup_radius_pitches,
+                                        options.acf_window_pitches);
+    if (request.unrouted != nullptr) {
+      ctx.dup_index = &request.unrouted->index();
+      ctx.dup_from = request.unrouted->suffix_begin(request.position);
+      OCR_ASSERT(ctx.dup_radius <= ctx.dup_index->cell(),
+                 "dup radius exceeds the terminal index's cell side");
+    }
+    ctx.dup_own = dup_points;
+    ctx.dup_hits = &ws.dup_hits;
     ctx.sensitive = request.sensitive;
     ctx.footprint = footprint;
 
@@ -549,14 +552,18 @@ LevelBResult assemble_result(std::vector<NetResult> results,
 
 UnroutedSuffix::UnroutedSuffix(
     const std::vector<std::vector<Point>>& snapped,
-    const std::vector<std::size_t>& order) {
+    const std::vector<std::size_t>& order, const tig::GridView& grid,
+    const LevelBOptions& options) {
+  std::vector<Point> flat;  // terminals in ordering sequence
   offset_.resize(order.size() + 1, 0);
   for (std::size_t k = 0; k < order.size(); ++k) {
-    offset_[k] = flat_.size();
+    offset_[k] = flat.size();
     const auto& pts = snapped[order[k]];
-    flat_.insert(flat_.end(), pts.begin(), pts.end());
+    flat.insert(flat.end(), pts.begin(), pts.end());
   }
-  offset_[order.size()] = flat_.size();
+  offset_[order.size()] = flat.size();
+  index_ = TerminalIndex(
+      flat, make_cost_context(grid, options.dup_radius_pitches).dup_radius);
 }
 
 }  // namespace ocr::levelb

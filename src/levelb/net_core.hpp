@@ -14,7 +14,6 @@
 /// architecture").
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "levelb/path_finder.hpp"
@@ -151,16 +150,44 @@ void commit_extents(tig::TrackGrid& grid,
 void uncommit_extents(tig::TrackGrid& grid,
                       const std::vector<Committed>& extents);
 
+/// The dup cost term's view of one route's unrouted terminals: every
+/// snapped terminal, flattened in ordering sequence (position k's
+/// terminals, then k+1's, ...) and held in a TerminalIndex with cells of
+/// side dup_radius. Built once per route and immutable after, so the
+/// serial router, the engine's batch workers and its serial re-routes all
+/// read one shared index.
+class UnroutedSuffix {
+ public:
+  /// Indexes \p snapped in \p order, with the dup radius make_cost_context
+  /// derives from \p grid and options.dup_radius_pitches.
+  UnroutedSuffix(const std::vector<std::vector<geom::Point>>& snapped,
+                 const std::vector<std::size_t>& order,
+                 const tig::GridView& grid, const LevelBOptions& options);
+
+  const TerminalIndex& index() const { return index_; }
+
+  /// First flat position after ordering position \p position: the dup
+  /// term of net k counts the flat entries from here on.
+  std::size_t suffix_begin(std::size_t position) const {
+    return offset_[position + 1];
+  }
+
+ private:
+  std::vector<std::size_t> offset_;  // offset_[k] = start of position k
+  TerminalIndex index_;
+};
+
 /// Inputs of one net's routing step.
 struct NetRouteRequest {
   int net_id = 0;
   /// This net's snapped terminals. The net's own terminal crossings must
   /// already be unblocked in the grid when routing.
   const std::vector<geom::Point>* terminals = nullptr;
-  /// Snapped terminals of all not-yet-routed nets (dup cost term). Order
-  /// matters for floating-point determinism; callers must present the
-  /// serial router's order (later nets in ordering sequence).
-  std::span<const geom::Point> unrouted;
+  /// The route's terminal index (dup cost term), or null for none (rip-up
+  /// rounds). The dup term counts the terminals of the nets after
+  /// ordering position `position`.
+  const UnroutedSuffix* unrouted = nullptr;
+  std::size_t position = 0;
   /// Committed sensitive wiring (w24 term), or null.
   const SensitiveRuns* sensitive = nullptr;
 };
@@ -204,23 +231,5 @@ int run_ripup_rounds(tig::TrackGrid& grid, const LevelBOptions& options,
 /// router).
 LevelBResult assemble_result(std::vector<NetResult> results,
                              const SearchStats& stats);
-
-/// Flattened "terminals of nets after position k" views. suffix(k) is the
-/// concatenation of snapped terminals of ordering positions k+1..N-1 — the
-/// exact vector the serial router builds for the dup cost term.
-class UnroutedSuffix {
- public:
-  UnroutedSuffix(const std::vector<std::vector<geom::Point>>& snapped,
-                 const std::vector<std::size_t>& order);
-
-  std::span<const geom::Point> suffix(std::size_t position) const {
-    return std::span<const geom::Point>(flat_).subspan(
-        offset_[position + 1]);
-  }
-
- private:
-  std::vector<geom::Point> flat_;     // terminals in ordering sequence
-  std::vector<std::size_t> offset_;   // offset_[k] = start of position k
-};
 
 }  // namespace ocr::levelb

@@ -35,7 +35,7 @@ LevelBResult LevelBRouter::route(const std::vector<BNet>& nets) {
 LevelBResult LevelBRouter::route_reserved(
     const std::vector<BNet>& nets, const std::vector<std::size_t>& order,
     const std::vector<std::vector<Point>>& snapped) {
-  const UnroutedSuffix unrouted(snapped, order);
+  const UnroutedSuffix unrouted(snapped, order, grid_, options_);
 
   // First pass, in the configured order. Results and committed extents are
   // kept per net (order position) so rip-up rounds can revisit them.
@@ -60,7 +60,7 @@ LevelBResult LevelBRouter::route_reserved(
     for (const Point& p : snapped[order[k]]) unblock_terminal(grid_, p);
     results[k] = route_single_net(
         grid_, options_,
-        NetRouteRequest{net.id, &snapped[order[k]], unrouted.suffix(k),
+        NetRouteRequest{net.id, &snapped[order[k]], &unrouted, k,
                         &sensitive},
         net_committed[k], stats, nullptr, &workspace);
     for (const Point& p : snapped[order[k]]) block_terminal(grid_, p);

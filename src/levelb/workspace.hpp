@@ -21,8 +21,8 @@
 ///   Selection Trees, the arrival lists, the materialized candidate
 ///   polylines and their dedup hashes, all cleared-with-capacity between
 ///   passes.
-/// * **Net-level buffers** — the per-Prim-iteration target and dup-term
-///   vectors of route_single_net.
+/// * **Net-level buffers** — the per-Prim-iteration target list and own
+///   dup terminals of route_single_net, and the dup term's index hits.
 ///
 /// Thread contract: a workspace belongs to exactly one thread at a time
 /// (the serial router, one engine worker, or the committer's fallback
@@ -85,7 +85,8 @@ struct SearchWorkspace {
   std::vector<int> chain;             ///< build_path parent walk
 
   std::vector<geom::Point> targets;     ///< route_single_net attachment list
-  std::vector<geom::Point> dup_points;  ///< route_single_net dup-term list
+  std::vector<geom::Point> dup_points;  ///< the net's unattached terminals
+  std::vector<DupHit> dup_hits;         ///< corner_dup index hits
 
   /// Bump storage for the per-connect scratch (visited overflow lists).
   /// Reset at every connect entry: O(1), keeps its blocks, and bumps the

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -104,12 +105,30 @@ struct Args {
   std::string faults;
 };
 
+/// Upper bound of --threads: a pool this size is already far past any
+/// host's hardware threads.
+constexpr long long kMaxThreads = 256;
+
 std::optional<Args> parse_args(int argc, char** argv) {
   Args args;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto value = [&]() -> const char* {
       return (i + 1 < argc) ? argv[++i] : nullptr;
+    };
+    // The flag's value as an integer in [lo, hi]; a missing, malformed or
+    // out-of-range value is a usage error.
+    const auto int_value = [&](long long lo,
+                               long long hi) -> std::optional<long long> {
+      const char* v = value();
+      if (v == nullptr) return std::nullopt;
+      const util::StatusOr<long long> parsed = util::parse_int(v, lo, hi);
+      if (!parsed.ok()) {
+        std::fprintf(stderr, "%s: %s\n", arg.c_str(),
+                     parsed.status().message().c_str());
+        return std::nullopt;
+      }
+      return *parsed;
     };
     if (arg == "--example") {
       const char* v = value();
@@ -156,9 +175,9 @@ std::optional<Args> parse_args(int argc, char** argv) {
       if (v == nullptr) return std::nullopt;
       args.manifest = v;
     } else if (arg == "--threads") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.threads = std::atoi(v);
+      const auto v = int_value(0, kMaxThreads);
+      if (!v) return std::nullopt;
+      args.threads = static_cast<int>(*v);
     } else if (arg == "--engine-mode") {
       const char* v = value();
       if (v == nullptr) return std::nullopt;
@@ -170,13 +189,13 @@ std::optional<Args> parse_args(int argc, char** argv) {
       }
       args.engine_mode = v;
     } else if (arg == "--deadline-ms") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.deadline_ms = std::atoll(v);
+      const auto v = int_value(0, std::numeric_limits<long long>::max());
+      if (!v) return std::nullopt;
+      args.deadline_ms = *v;
     } else if (arg == "--net-effort") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.net_effort = std::atoll(v);
+      const auto v = int_value(0, std::numeric_limits<long long>::max());
+      if (!v) return std::nullopt;
+      args.net_effort = *v;
     } else if (arg == "--fail-policy") {
       const char* v = value();
       if (v == nullptr) return std::nullopt;

@@ -28,6 +28,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -47,6 +48,7 @@
 #include "util/log.hpp"
 #include "util/manifest.hpp"
 #include "util/metrics.hpp"
+#include "util/str.hpp"
 
 namespace {
 
@@ -112,6 +114,12 @@ struct Args {
   bool verbose = false;
 };
 
+/// Upper bounds of the numeric flags that size something: far past any
+/// sensible setting, low enough that a typo cannot ask for a huge pool.
+constexpr long long kMaxWorkers = 256;
+constexpr long long kMaxRetries = 1000;
+constexpr double kMaxCongestion = 1e9;
+
 std::optional<Args> parse_args(int argc, char** argv) {
   Args args;
   for (int i = 1; i < argc; ++i) {
@@ -119,35 +127,58 @@ std::optional<Args> parse_args(int argc, char** argv) {
     const auto value = [&]() -> const char* {
       return (i + 1 < argc) ? argv[++i] : nullptr;
     };
-    if (arg == "--workers") {
+    // The flag's value as a number in [lo, hi]; a missing, malformed or
+    // out-of-range value is a usage error.
+    const auto report = [&](const util::Status& status) {
+      std::fprintf(stderr, "%s: %s\n", arg.c_str(),
+                   status.message().c_str());
+    };
+    const auto int_value = [&](long long lo,
+                               long long hi) -> std::optional<long long> {
       const char* v = value();
       if (v == nullptr) return std::nullopt;
-      args.workers = std::atoi(v);
-    } else if (arg == "--queue-limit") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      const long long limit = std::atoll(v);
-      if (limit < 1) {
-        std::fputs("--queue-limit must be >= 1\n", stderr);
+      const util::StatusOr<long long> parsed = util::parse_int(v, lo, hi);
+      if (!parsed.ok()) {
+        report(parsed.status());
         return std::nullopt;
       }
-      args.queue_limit = static_cast<std::size_t>(limit);
+      return *parsed;
+    };
+    const auto double_value = [&](double lo,
+                                  double hi) -> std::optional<double> {
+      const char* v = value();
+      if (v == nullptr) return std::nullopt;
+      const util::StatusOr<double> parsed = util::parse_double(v, lo, hi);
+      if (!parsed.ok()) {
+        report(parsed.status());
+        return std::nullopt;
+      }
+      return *parsed;
+    };
+    if (arg == "--workers") {
+      const auto v = int_value(1, kMaxWorkers);
+      if (!v) return std::nullopt;
+      args.workers = static_cast<int>(*v);
+    } else if (arg == "--queue-limit") {
+      const auto v = int_value(1, std::numeric_limits<long long>::max());
+      if (!v) return std::nullopt;
+      args.queue_limit = static_cast<std::size_t>(*v);
     } else if (arg == "--max-nets") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.max_nets = std::atoi(v);
+      const auto v = int_value(0, std::numeric_limits<int>::max());
+      if (!v) return std::nullopt;
+      args.max_nets = static_cast<int>(*v);
     } else if (arg == "--reject-congestion") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.reject_congestion = std::atof(v);
+      const auto v = double_value(0.0, kMaxCongestion);
+      if (!v) return std::nullopt;
+      args.reject_congestion = *v;
     } else if (arg == "--downtier-congestion") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.downtier_congestion = std::atof(v);
+      const auto v = double_value(0.0, kMaxCongestion);
+      if (!v) return std::nullopt;
+      args.downtier_congestion = *v;
     } else if (arg == "--downtier-net-effort") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.downtier_net_effort = std::atoll(v);
+      const auto v = int_value(0, std::numeric_limits<long long>::max());
+      if (!v) return std::nullopt;
+      args.downtier_net_effort = *v;
     } else if (arg == "--journal") {
       const char* v = value();
       if (v == nullptr) return std::nullopt;
@@ -155,29 +186,26 @@ std::optional<Args> parse_args(int argc, char** argv) {
     } else if (arg == "--recover") {
       args.recover = true;
     } else if (arg == "--drain-deadline-ms") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.drain_deadline_ms = std::atoll(v);
+      const auto v = int_value(0, std::numeric_limits<long long>::max());
+      if (!v) return std::nullopt;
+      args.drain_deadline_ms = *v;
     } else if (arg == "--retry-max") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.retry_max = std::atoi(v);
-      if (args.retry_max < 1) {
-        std::fputs("--retry-max must be >= 1\n", stderr);
-        return std::nullopt;
-      }
+      const auto v = int_value(1, kMaxRetries);
+      if (!v) return std::nullopt;
+      args.retry_max = static_cast<int>(*v);
     } else if (arg == "--retry-base-ms") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.retry_base_ms = std::atoll(v);
+      const auto v = int_value(0, std::numeric_limits<long long>::max());
+      if (!v) return std::nullopt;
+      args.retry_base_ms = *v;
     } else if (arg == "--retry-seed") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.retry_seed = std::atoll(v);
+      const auto v = int_value(std::numeric_limits<long long>::min(),
+                               std::numeric_limits<long long>::max());
+      if (!v) return std::nullopt;
+      args.retry_seed = *v;
     } else if (arg == "--hang-ms") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.hang_ms = std::atoll(v);
+      const auto v = int_value(0, std::numeric_limits<long long>::max());
+      if (!v) return std::nullopt;
+      args.hang_ms = *v;
     } else if (arg == "--service-faults") {
       const char* v = value();
       if (v == nullptr) return std::nullopt;

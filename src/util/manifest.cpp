@@ -49,6 +49,22 @@ const char* build_version() {
 #endif
 }
 
+const char* build_type() {
+#ifdef OCR_BUILD_TYPE
+  return OCR_BUILD_TYPE;
+#else
+  return "unknown";
+#endif
+}
+
+const char* build_compiler() {
+#ifdef OCR_COMPILER
+  return OCR_COMPILER;
+#else
+  return "unknown";
+#endif
+}
+
 RunManifest::RunManifest(std::string tool)
     : tool_(std::move(tool)), created_(iso8601_utc_now()) {}
 

@@ -62,5 +62,9 @@ class RunManifest {
 const char* build_git_revision();
 /// The project version (CMake PROJECT_VERSION), or "unknown".
 const char* build_version();
+/// The CMake build type (Release, RelWithDebInfo, ...), or "unknown".
+const char* build_type();
+/// The compiler id and version ("GNU 12.2.0"), or "unknown".
+const char* build_compiler();
 
 }  // namespace ocr::util

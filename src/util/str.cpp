@@ -1,7 +1,9 @@
 #include "util/str.hpp"
 
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
+#include <system_error>
 
 namespace ocr::util {
 
@@ -75,6 +77,43 @@ std::string with_commas(long long value) {
   }
   if (negative) out.push_back('-');
   return std::string(out.rbegin(), out.rend());
+}
+
+namespace {
+
+std::string bound_text(long long v) { return std::to_string(v); }
+std::string bound_text(double v) { return format("%g", v); }
+
+/// from_chars over the whole of \p text, then the [lo, hi] check (written
+/// so that NaN fails it).
+template <typename T>
+StatusOr<T> parse_number(std::string_view text, T lo, T hi,
+                         const char* what) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  const int len = static_cast<int>(text.size());
+  if (text.empty() || ec == std::errc::invalid_argument || ptr != end) {
+    return Status::invalid_argument(
+        format("'%.*s' is not %s", len, text.data(), what));
+  }
+  if (ec == std::errc::result_out_of_range || !(lo <= value && value <= hi)) {
+    return Status::invalid_argument(
+        format("'%.*s' is out of range [%s, %s]", len, text.data(),
+               bound_text(lo).c_str(), bound_text(hi).c_str()));
+  }
+  return value;
+}
+
+}  // namespace
+
+StatusOr<long long> parse_int(std::string_view text, long long lo,
+                              long long hi) {
+  return parse_number(text, lo, hi, "an integer");
+}
+
+StatusOr<double> parse_double(std::string_view text, double lo, double hi) {
+  return parse_number(text, lo, hi, "a number");
 }
 
 }  // namespace ocr::util

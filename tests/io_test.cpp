@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "bench_data/synthetic.hpp"
+#include "io/bench_rows.hpp"
 #include "io/layout_io.hpp"
 
 namespace ocr::io {
@@ -140,6 +145,86 @@ TEST(LayoutIo, LoadMissingFileFails) {
   const auto parsed = load_layout("/nonexistent/file.oclay");
   EXPECT_FALSE(parsed.ok());
   EXPECT_FALSE(parsed.error.empty());
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+util::TraceEvent sweep_row(const char* label, const char* instance,
+                           double per_net_us) {
+  util::TraceEvent ev("net_sweep");
+  ev.add("label", label)
+      .add("instance", instance)
+      .add("mode", "serial")
+      .add("threads", 1)
+      .add("per_net_us", per_net_us);
+  return ev;
+}
+
+TEST(BenchRows, MergeKeepsOldRowsAndReplacesOnlyItsOwnKey) {
+  const std::string path = ::testing::TempDir() + "bench_rows_merge.json";
+  // A pretty-printed file as committed: one unlabelled row, one labelled.
+  const std::string old_a =
+      "{\n  \"kind\": \"scaling\",\n  \"nets\": 25,\n  \"completion\": 1\n }";
+  const std::string old_b =
+      "{\n  \"kind\": \"net_sweep\",\n  \"label\": \"before\",\n"
+      "  \"instance\": \"sparse-100k/4000\",\n  \"mode\": \"serial\",\n"
+      "  \"threads\": 1,\n  \"per_net_us\": 54.0\n }";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << "[\n " << old_a << ",\n " << old_b << "\n]\n";
+  }
+  ASSERT_TRUE(merge_bench_rows(path, {sweep_row("after", "sparse-100k/4000",
+                                                20.5)})
+                  .ok());
+  std::string text = read_file(path);
+  // Both old rows survive byte for byte; the new label is a new key.
+  EXPECT_NE(text.find(old_a), std::string::npos) << text;
+  EXPECT_NE(text.find(old_b), std::string::npos) << text;
+  EXPECT_NE(text.find("\"per_net_us\":20.5"), std::string::npos) << text;
+
+  // Re-capturing the same label replaces that row and nothing else.
+  ASSERT_TRUE(merge_bench_rows(path, {sweep_row("after", "sparse-100k/4000",
+                                                19.0),
+                                      sweep_row("after", "sparse-100k/32000",
+                                                22.0)})
+                  .ok());
+  text = read_file(path);
+  EXPECT_NE(text.find(old_a), std::string::npos);
+  EXPECT_NE(text.find(old_b), std::string::npos);
+  EXPECT_EQ(text.find("\"per_net_us\":20.5"), std::string::npos) << text;
+  EXPECT_NE(text.find("\"per_net_us\":19"), std::string::npos) << text;
+  EXPECT_NE(text.find("sparse-100k/32000"), std::string::npos) << text;
+  EXPECT_LT(text.find(old_b), text.find("\"per_net_us\":19"));
+  std::remove(path.c_str());
+}
+
+TEST(BenchRows, MissingFileIsCreatedAndBrokenFileLeftUntouched) {
+  const std::string fresh = ::testing::TempDir() + "bench_rows_fresh.json";
+  std::remove(fresh.c_str());
+  ASSERT_TRUE(
+      merge_bench_rows(fresh, {sweep_row("l", "sparse-100k/4000", 1.0)})
+          .ok());
+  EXPECT_EQ(read_file(fresh).rfind("[\n {\"kind\":\"net_sweep\"", 0), 0u);
+  std::remove(fresh.c_str());
+
+  const std::string broken = ::testing::TempDir() + "bench_rows_broken.json";
+  for (const char* bad : {"not json", "[{\"kind\": \"x\"", "[{\"a\": [1]}]",
+                          "[{\"kind\": \"x\"}] trailing"}) {
+    {
+      std::ofstream out(broken, std::ios::binary | std::ios::trunc);
+      out << bad;
+    }
+    const util::Status s =
+        merge_bench_rows(broken, {sweep_row("l", "i", 1.0)});
+    EXPECT_FALSE(s.ok()) << bad;
+    EXPECT_EQ(read_file(broken), bad);
+  }
+  std::remove(broken.c_str());
 }
 
 }  // namespace

@@ -85,7 +85,7 @@ TEST(LeeVsMbfs, AgreeOnReachabilityAndLength) {
     if (a == b) continue;
     const auto lee = lee_connect(grid, a, b);
     const levelb::PathFinder finder(grid);
-    const auto ctx = levelb::make_cost_context(grid, nullptr);
+    const auto ctx = levelb::make_cost_context(grid);
     const auto mbfs = finder.connect(a, b, ctx);
     // MBFS restricted windows never *create* reachability; with full-grid
     // fallback both should agree.
@@ -109,7 +109,7 @@ TEST(LeeVsMbfs, MbfsExaminesFewerVertices) {
   const Point b{495, 495};
   const auto lee = lee_connect(grid, a, b);
   const levelb::PathFinder finder(grid);
-  const auto ctx = levelb::make_cost_context(grid, nullptr);
+  const auto ctx = levelb::make_cost_context(grid);
   const auto mbfs = finder.connect(a, b, ctx);
   ASSERT_TRUE(lee.found);
   ASSERT_TRUE(mbfs.found);

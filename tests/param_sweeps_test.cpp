@@ -222,7 +222,7 @@ TEST_P(MbfsLeeSweep, ReachabilityAgreesWithLee) {
     grid.block_region_v(r);
   }
   const levelb::PathFinder finder(grid);
-  const auto ctx = levelb::make_cost_context(grid, nullptr);
+  const auto ctx = levelb::make_cost_context(grid);
   for (int trial = 0; trial < 10; ++trial) {
     const auto a = grid.crossing(
         static_cast<int>(rng.uniform_int(0, grid.num_h() - 1)),

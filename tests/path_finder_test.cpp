@@ -17,7 +17,7 @@ tig::TrackGrid open_grid() {
 }
 
 CostContext plain_ctx(const tig::TrackGrid& grid) {
-  return make_cost_context(grid, nullptr);
+  return make_cost_context(grid);
 }
 
 TEST(PathFinder, StraightHorizontal) {
@@ -159,7 +159,7 @@ TEST(Figure1, ReproducesPaperOutcome) {
   PathFinder::Options opts;
   opts.keep_trees = true;
   const PathFinder finder(fig.grid, opts);
-  const auto ctx = make_cost_context(fig.grid, nullptr);
+  const auto ctx = make_cost_context(fig.grid);
   const auto r = finder.connect(fig.b1, fig.b2, ctx);
   ASSERT_TRUE(r.found);
   // The paper: the (v2, h4, v6) path with a single corner wins.
@@ -176,7 +176,7 @@ TEST(Figure1, FindsAllThreeCandidatePaths) {
   // (h2,v3,h4,v6) and (h2,v5,h4,v6) from the MBFS that started from h2."
   const Figure1Instance fig = make_figure1_instance();
   const PathFinder finder(fig.grid);
-  const auto ctx = make_cost_context(fig.grid, nullptr);
+  const auto ctx = make_cost_context(fig.grid);
   const auto r = finder.connect(fig.b1, fig.b2, ctx);
   ASSERT_TRUE(r.found);
   EXPECT_EQ(r.stats.candidates, 3);
@@ -187,7 +187,7 @@ TEST(Figure1, TreeFromV2FindsOnePath) {
   PathFinder::Options opts;
   opts.keep_trees = true;
   const PathFinder finder(fig.grid, opts);
-  const auto ctx = make_cost_context(fig.grid, nullptr);
+  const auto ctx = make_cost_context(fig.grid);
   const auto r = finder.connect(fig.b1, fig.b2, ctx);
   ASSERT_TRUE(r.found);
   // Tree rooted at v2 (vertical pass): root is v2.
@@ -211,7 +211,7 @@ TEST(Figure1, TreePrintingMentionsTracks) {
   PathFinder::Options opts;
   opts.keep_trees = true;
   const PathFinder finder(fig.grid, opts);
-  const auto ctx = make_cost_context(fig.grid, nullptr);
+  const auto ctx = make_cost_context(fig.grid);
   const auto r = finder.connect(fig.b1, fig.b2, ctx);
   const std::string tree = r.tree_h.to_string();
   EXPECT_NE(tree.find("h2"), std::string::npos);
@@ -243,7 +243,7 @@ TEST(PathFinderProperty, RandomObstaclesValidPaths) {
         static_cast<int>(rng.uniform_int(0, grid.num_v() - 1)));
     if (a == b) continue;
     const PathFinder finder(grid);
-    const auto ctx = make_cost_context(grid, nullptr);
+    const auto ctx = make_cost_context(grid);
     const auto r = finder.connect(a, b, ctx);
     if (!r.found) continue;  // walled off is legitimate
     const auto problems = validate_path(grid, r.path, a, b);
@@ -271,7 +271,7 @@ TEST(PathFinderProperty, LengthAtLeastManhattan) {
   util::Rng rng(303);
   const auto grid = tig::TrackGrid::uniform(Rect(0, 0, 300, 300), 10, 10);
   const PathFinder finder(grid);
-  const auto ctx = make_cost_context(grid, nullptr);
+  const auto ctx = make_cost_context(grid);
   for (int trial = 0; trial < 50; ++trial) {
     const Point a = grid.crossing(
         static_cast<int>(rng.uniform_int(0, grid.num_h() - 1)),

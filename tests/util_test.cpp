@@ -121,6 +121,45 @@ TEST(Str, WithCommas) {
   EXPECT_EQ(with_commas(-1234567), "-1,234,567");
 }
 
+TEST(Str, ParseIntAcceptsOnlyAWholeInRangeInteger) {
+  const StatusOr<long long> ok = parse_int("42", 0, 100);
+  ASSERT_TRUE(ok.ok());
+  EXPECT_EQ(*ok, 42);
+  EXPECT_EQ(*parse_int("-7", -10, 10), -7);
+  EXPECT_EQ(*parse_int("0", 0, 0), 0);
+  // Malformed: empty, letters, trailing junk, spaces, '+', decimals.
+  for (const char* bad : {"", "abc", "4x", " 4", "4 ", "+4", "4.0", "0x10"}) {
+    const StatusOr<long long> r = parse_int(bad, -100, 100);
+    ASSERT_FALSE(r.ok()) << "'" << bad << "'";
+    EXPECT_EQ(r.status().kind(), StatusKind::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("not an integer"), std::string::npos)
+        << r.status().message();
+  }
+  // Out of range: past the bounds, and past long long itself.
+  for (const char* far : {"-1", "101", "99999999999999999999"}) {
+    const StatusOr<long long> r = parse_int(far, 0, 100);
+    ASSERT_FALSE(r.ok()) << far;
+    EXPECT_NE(r.status().message().find("out of range [0, 100]"),
+              std::string::npos)
+        << r.status().message();
+  }
+}
+
+TEST(Str, ParseDoubleRejectsMalformedNanAndOutOfRange) {
+  EXPECT_DOUBLE_EQ(*parse_double("8.5", 0.0, 10.0), 8.5);
+  EXPECT_DOUBLE_EQ(*parse_double("1e3", 0.0, 1e9), 1000.0);
+  EXPECT_DOUBLE_EQ(*parse_double("0", 0.0, 1.0), 0.0);
+  for (const char* bad : {"", "x", "8.5x", " 1"}) {
+    EXPECT_FALSE(parse_double(bad, 0.0, 10.0).ok()) << "'" << bad << "'";
+  }
+  for (const char* far : {"-0.5", "10.5", "nan", "inf", "1e999"}) {
+    const StatusOr<double> r = parse_double(far, 0.0, 10.0);
+    ASSERT_FALSE(r.ok()) << far;
+    EXPECT_NE(r.status().message().find("out of range"), std::string::npos)
+        << far << ": " << r.status().message();
+  }
+}
+
 TEST(Table, RendersAlignedColumns) {
   TextTable t;
   t.set_header({"Example", "Area"});

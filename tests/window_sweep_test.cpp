@@ -33,7 +33,7 @@ TEST_P(WindowMarginSweep, ReachabilityIndependentOfMargin) {
   PathFinder::Options options;
   options.window_margin = GetParam();
   const PathFinder finder(grid, options);
-  const auto ctx = make_cost_context(grid, nullptr);
+  const auto ctx = make_cost_context(grid);
   for (int trial = 0; trial < 15; ++trial) {
     const Point a = grid.crossing(
         static_cast<int>(rng.uniform_int(0, grid.num_h() - 1)),
@@ -60,7 +60,7 @@ TEST_P(WindowMarginSweep, PathQualityStableOnOpenGrid) {
   PathFinder::Options options;
   options.window_margin = GetParam();
   const PathFinder finder(grid, options);
-  const auto ctx = make_cost_context(grid, nullptr);
+  const auto ctx = make_cost_context(grid);
   util::Rng rng(909);
   for (int trial = 0; trial < 15; ++trial) {
     const Point a = grid.crossing(
