@@ -21,7 +21,12 @@
 /// warm-up and reports the median. `--quick` shrinks the instance set and
 /// repeats for CI smoke use. `--json` writes BENCH_mbfs.json. `--label S`
 /// tags every JSON record (used to distinguish before/after captures).
-/// `--gap-cache on|off` toggles the free-gap cache for A/B runs.
+/// `--append` (needs `--label`) merges the records into an existing
+/// BENCH_mbfs.json (io::merge_bench_rows) instead of overwriting it: a
+/// record replaces only the one with the same (label, kind, instance,
+/// mode, threads), so committed history survives. The `mbfs_meta` record
+/// carries the host provenance (nproc, build type, compiler, git
+/// revision).
 
 #include <algorithm>
 #include <chrono>
@@ -37,6 +42,7 @@
 #include "bench_data/synthetic.hpp"
 #include "engine/engine.hpp"
 #include "floorplan/macro_layout.hpp"
+#include "io/bench_rows.hpp"
 #include "levelb/router.hpp"
 #include "levelb/workspace.hpp"
 #include "netlist/layout.hpp"
@@ -46,6 +52,7 @@
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/str.hpp"
+#include "util/thread_pool.hpp"
 #include "util/table.hpp"
 #include "util/trace.hpp"
 
@@ -376,7 +383,7 @@ struct Config {
   bool json = false;
   int repeat = 3;
   std::string label = "current";
-  bool gap_cache = true;
+  bool append = false;  ///< merge into BENCH_mbfs.json (needs --label)
   bool connect_only = false;  ///< skip full-route rows (profiling aid)
 };
 
@@ -433,8 +440,7 @@ void run_route_rows(const Instance& inst, const Config& cfg,
           .add("batches", row.batches)
           .add("boundary_nets", row.boundary_nets)
           .add("grid_bytes", row.grid_bytes)
-          .add("peak_rss_kb", row.peak_rss_kb)
-          .add("gap_cache", cfg.gap_cache);
+          .add("peak_rss_kb", row.peak_rss_kb);
       json->record(std::move(ev));
     }
   }
@@ -491,8 +497,7 @@ void bench_instance(const Instance& inst, const Config& cfg,
           .add("vertices_per_sec", row.vertices_per_sec)
           .add("p50_us", row.p50_us)
           .add("p95_us", row.p95_us)
-          .add("speedup_vs_1t", speedup_vs_1t)
-          .add("gap_cache", cfg.gap_cache);
+          .add("speedup_vs_1t", speedup_vs_1t);
       json->record(std::move(ev));
     }
   }
@@ -508,6 +513,7 @@ void bench_instance(const Instance& inst, const Config& cfg,
 
 int main(int argc, char** argv) {
   Config cfg;
+  bool labelled = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       cfg.quick = true;
@@ -518,19 +524,23 @@ int main(int argc, char** argv) {
       cfg.repeat = std::max(1, std::atoi(argv[++i]));
     } else if (std::strcmp(argv[i], "--label") == 0 && i + 1 < argc) {
       cfg.label = argv[++i];
-    } else if (std::strcmp(argv[i], "--gap-cache") == 0 && i + 1 < argc) {
-      cfg.gap_cache = std::strcmp(argv[++i], "off") != 0;
+      labelled = true;
+    } else if (std::strcmp(argv[i], "--append") == 0) {
+      cfg.append = true;
     } else if (std::strcmp(argv[i], "--connect-only") == 0) {
       cfg.connect_only = true;
     } else {
       std::fprintf(stderr,
                    "usage: bench_mbfs [--quick] [--json] [--repeat N] "
-                   "[--label S] [--gap-cache on|off] [--connect-only]\n");
+                   "[--label S] [--append] [--connect-only]\n");
       return 2;
     }
   }
-
-  tig::GapCache::set_enabled(cfg.gap_cache);
+  if (cfg.append && !labelled) {
+    std::fputs("--append requires --label\n", stderr);
+    return 2;
+  }
+  cfg.json = cfg.json || cfg.append;
 
   util::TraceSink json;
   util::TraceSink* sink = cfg.json ? &json : nullptr;
@@ -539,7 +549,10 @@ int main(int argc, char** argv) {
     meta.add("label", cfg.label)
         .add("quick", cfg.quick)
         .add("repeat", cfg.repeat)
-        .add("gap_cache", cfg.gap_cache);
+        .add("nproc", util::ThreadPool::hardware_threads())
+        .add("build_type", util::build_type())
+        .add("compiler", util::build_compiler())
+        .add("git_revision", util::build_git_revision());
     sink->record(std::move(meta));
   }
 
@@ -584,11 +597,20 @@ int main(int argc, char** argv) {
 
   if (cfg.json) {
     const std::string path = "BENCH_mbfs.json";
-    if (!json.write_json_file(path)) {
+    if (cfg.append) {
+      const util::Status merged = io::merge_bench_rows(path, json.events());
+      if (!merged.ok()) {
+        std::fprintf(stderr, "error: %s\n", merged.to_string().c_str());
+        return 1;
+      }
+      std::printf("\nmerged %zu records into %s\n", json.size(),
+                  path.c_str());
+    } else if (!json.write_json_file(path)) {
       std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
       return 1;
+    } else {
+      std::printf("\nwrote %s (%zu records)\n", path.c_str(), json.size());
     }
-    std::printf("\nwrote %s (%zu records)\n", path.c_str(), json.size());
 
     // Companion run manifest: configuration + provenance + the metrics
     // the routed instances accumulated, so a captured number can be
@@ -597,7 +619,7 @@ int main(int argc, char** argv) {
     manifest.add_config("quick", cfg.quick);
     manifest.add_config("repeat", cfg.repeat);
     manifest.add_config("label", cfg.label);
-    manifest.add_config("gap_cache", cfg.gap_cache);
+    manifest.add_config("append", cfg.append);
     manifest.add_config("connect_only", cfg.connect_only);
     manifest.add_outcome("records", static_cast<long long>(json.size()));
     manifest.capture_metrics(util::MetricsRegistry::global());

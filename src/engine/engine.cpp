@@ -169,11 +169,9 @@ LevelBResult RoutingEngine::route_sharded(const std::vector<BNet>& nets,
   // overlays. Batches phase-separate reads from writes — this thread only
   // commits after pool.wait_idle(), and workers only read between
   // start_batch and that barrier — so the live grid at batch start IS the
-  // exact serial prefix, with no grid copy and nothing to replay.
-  // The only subtlety is the gap cache's lazy memos: mutations patch
-  // entries in place (so they stay valid), and warm_gap_cache() below
-  // materializes anything still pending before each multi-worker batch,
-  // making concurrent const reads pure.
+  // exact serial prefix, with no grid copy and nothing to replay. Const
+  // grid reads touch nothing but the blocked runs, so the workers'
+  // concurrent reads need no preparation step.
   BatchSearch search(options_.levelb, prep.nets_by_position,
                      prep.terminals_by_position, *prep.unrouted);
   util::ThreadPool pool(threads, "engine.pool");
@@ -201,15 +199,6 @@ LevelBResult RoutingEngine::route_sharded(const std::vector<BNet>& nets,
         std::min<std::size_t>(static_cast<std::size_t>(threads),
                               batch.size()));
     if (workers > 1) {
-      {
-        // Materialize the gap cache's lazy memos so the parallel phase's
-        // concurrent const reads never race on them. Entries stay valid
-        // across commits (mutations patch in place), so this re-warms
-        // only what the previous batch's commits touched — near O(tracks)
-        // of predictable skips, not a grid copy.
-        OCR_SPAN("engine.warm");
-        grid_.warm_gap_cache();
-      }
       for (int t = 0; t < workers; ++t) {
         pool.submit([&search] { search.run_worker(); });
       }
@@ -217,8 +206,7 @@ LevelBResult RoutingEngine::route_sharded(const std::vector<BNet>& nets,
       // only read after the pool quiesces.
       pool.wait_idle();
     } else {
-      // Singleton batches skip the pool round-trip (and the warm: a
-      // single-threaded read may fill memos safely).
+      // Singleton batches skip the pool round-trip.
       search.run_worker();
     }
 
@@ -314,8 +302,7 @@ LevelBResult RoutingEngine::route_sharded(const std::vector<BNet>& nets,
 
       search_us_hist.observe(static_cast<double>(item.search_us));
       {
-        // Direct live-grid commit: gap-cache entries are patched in
-        // place by each block, so the next batch's warm is incremental.
+        // Direct live-grid commit: the next batch's workers read it.
         OCR_SPAN("engine.commit");
         levelb::commit_extents(grid_, net_committed[k]);
       }

@@ -19,12 +19,11 @@ namespace ocr::engine {
 /// routed in parallel against the shared batch-start grid. The base is
 /// the engine's LIVE grid: batches phase-separate reads from writes (the
 /// engine thread only commits after every worker finished), so sharing it
-/// costs zero grid copies. The engine thread must warm_gap_cache() before
-/// each multi-worker batch so concurrent base reads are pure (see
-/// GapCache's thread contract). Workers pull positions from an atomic
-/// cursor; the engine thread harvests items() after the pool quiesces
-/// (wait_idle is the synchronization point) and commits them in position
-/// order.
+/// costs zero grid copies. Const grid reads are pure, so the workers
+/// share it with no preparation step. Workers pull positions from an
+/// atomic cursor; the engine thread harvests items() after the pool
+/// quiesces (wait_idle is the synchronization point) and commits them in
+/// position order.
 class BatchSearch {
  public:
   /// One batch position's routing result.
@@ -52,9 +51,8 @@ class BatchSearch {
 
   /// Arms positions [begin, end) against \p base (the live grid at the
   /// batch-start state — exactly the serial prefix [0, begin)) with the
-  /// batch-start sensitive registry. \p base must not be mutated and its
-  /// gap cache must be warm while workers run. Single-threaded; call
-  /// before submitting workers.
+  /// batch-start sensitive registry. \p base must not be mutated while
+  /// workers run. Single-threaded; call before submitting workers.
   void start_batch(const tig::TrackGrid* base, std::size_t begin,
                    std::size_t end,
                    std::shared_ptr<const levelb::SensitiveRuns> sensitive);

@@ -93,7 +93,7 @@ struct FlowMetrics {
   // Memory observability (over-cell flow only).
   long long peak_rss_kb = 0;      ///< process ru_maxrss after routing
   long long tig_grid_bytes = 0;   ///< live grid heap (chunked occupancy
-                                  ///  + gap cache) after routing
+                                  ///  and track coordinates) after routing
 
   // Degradation-ladder counters (see DESIGN.md "Failure model"). All
   // zero on a healthy run without deadline/budget limits.

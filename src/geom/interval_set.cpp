@@ -89,14 +89,7 @@ std::optional<Coord> IntervalSet::distance_to_nearest_blocked(
 }
 
 std::vector<Interval> IntervalSet::free_gaps(const Interval& universe) const {
-  std::vector<Interval> gaps;
-  free_gaps_into(universe, gaps);
-  return gaps;
-}
-
-void IntervalSet::free_gaps_into(const Interval& universe,
-                                 std::vector<Interval>& out) const {
-  out.clear();
+  std::vector<Interval> out;
   Coord cursor = universe.lo;
   for (const Interval& run : runs_) {
     if (run.hi < universe.lo) continue;
@@ -106,6 +99,7 @@ void IntervalSet::free_gaps_into(const Interval& universe,
     if (cursor > universe.hi) break;
   }
   if (cursor <= universe.hi) out.emplace_back(cursor, universe.hi);
+  return out;
 }
 
 }  // namespace ocr::geom

@@ -48,11 +48,6 @@ class IntervalSet {
   /// clip the gaps accordingly.
   std::vector<Interval> free_gaps(const Interval& universe) const;
 
-  /// free_gaps, written into \p out (cleared first) so callers can reuse
-  /// its capacity across rebuilds.
-  void free_gaps_into(const Interval& universe,
-                      std::vector<Interval>& out) const;
-
   /// The maximal free gap of \p universe containing \p v, if \p v is free
   /// and inside the universe. O(log k).
   std::optional<Interval> free_gap_containing(const Interval& universe,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <utility>
 
 #include "levelb/workspace.hpp"
 #include "util/assert.hpp"
@@ -38,6 +39,20 @@ Window make_window(const tig::GridView& grid, const Point& a,
   w.j_lo = std::max(0, std::min(ja, jb) - margin);
   w.j_hi = std::min(grid.num_v() - 1, std::max(ja, jb) + margin);
   return w;
+}
+
+/// The track indices in [lo, hi] whose coordinate lies inside \p gap, as
+/// {first, last} (empty when first > last): two binary searches over the
+/// window's slice of the ascending coordinate array. The same range as
+/// max(lo, first_at_or_above(gap.lo)) .. min(hi, last_at_or_below(
+/// gap.hi)) — the crossings an MBFS node may turn at.
+std::pair<int, int> crossings_in_window(const std::vector<Coord>& coords,
+                                        int lo, int hi, const Interval& gap) {
+  const auto end = coords.begin() + hi + 1;
+  const auto first = std::lower_bound(coords.begin() + lo, end, gap.lo);
+  const auto last = std::upper_bound(first, end, gap.hi);
+  return {static_cast<int>(first - coords.begin()),
+          static_cast<int>(last - coords.begin()) - 1};
 }
 
 bool window_is_full_grid(const tig::GridView& grid, const Window& w) {
@@ -158,20 +173,16 @@ void run_mbfs(const tig::GridView& grid, const Point& a, const Point& b,
 
   // Root: the source track with its free segment containing the terminal.
   TreeNode root;
-  int cross_lo = 0;
-  int cross_hi = -1;
   if (source_orient == Orientation::kVertical) {
-    const auto seg = grid.v_free_segment_span(j_a, a.y, &cross_lo, &cross_hi);
+    const auto seg = grid.v_free_segment(j_a, a.y);
     note_v(j_a, seg);
     if (!seg) return;  // terminal buried under an obstacle on this layer
-    root = TreeNode{TrackRef{Orientation::kVertical, j_a}, *seg, a, -1, 0,
-                    cross_lo, cross_hi};
+    root = TreeNode{TrackRef{Orientation::kVertical, j_a}, *seg, a, -1, 0};
   } else {
-    const auto seg = grid.h_free_segment_span(i_a, a.x, &cross_lo, &cross_hi);
+    const auto seg = grid.h_free_segment(i_a, a.x);
     note_h(i_a, seg);
     if (!seg) return;
-    root = TreeNode{TrackRef{Orientation::kHorizontal, i_a}, *seg, a, -1, 0,
-                    cross_lo, cross_hi};
+    root = TreeNode{TrackRef{Orientation::kHorizontal, i_a}, *seg, a, -1, 0};
   }
   tree.nodes.push_back(root);
   {
@@ -232,10 +243,11 @@ void run_mbfs(const tig::GridView& grid, const Point& a, const Point& b,
       const int j = node.track.index;
       const Coord x = grid.v_x(j);
       // Only tracks whose coordinate lies inside the node's free extent
-      // can be crossed; the index range came with the gap at node
-      // creation (ascending visit order preserved).
-      const int i_first = std::max(w.i_lo, node.cross_lo);
-      const int i_last = std::min(w.i_hi, node.cross_hi);
+      // and the window can be crossed (visited in ascending order). The
+      // range is found here, not at node creation, so the nodes of the
+      // last depth, which are never expanded, never pay for it.
+      const auto [i_first, i_last] =
+          crossings_in_window(grid.h_ys(), w.i_lo, w.i_hi, node.extent);
       for (int i = i_first; i <= i_last; ++i) {
         const Coord y = grid.h_y(i);
         // Skip the root's degenerate turn at the terminal itself: that
@@ -250,21 +262,19 @@ void run_mbfs(const tig::GridView& grid, const Point& a, const Point& b,
         SearchWorkspace::VisitSlot& slot =
             ws.visited_h[static_cast<std::size_t>(i)];
         if (visited_contains(slot, ws.generation, x)) continue;
-        int cl = 0;
-        int ch = -1;
-        const auto gap = grid.h_free_segment_span(i, x, &cl, &ch);
+        const auto gap = grid.h_free_segment(i, x);
         note_h(i, gap);
         if (!gap) continue;
         visit(slot, ws.arena, ws.generation, *gap);  // x ∉ visited ⇒ *gap is new
         const TrackRef t{Orientation::kHorizontal, i};
-        tree.nodes.push_back(TreeNode{t, *gap, p, n, node.depth + 1, cl, ch});
+        tree.nodes.push_back(TreeNode{t, *gap, p, n, node.depth + 1});
         ws.queue.push_back(static_cast<int>(tree.nodes.size()) - 1);
       }
     } else {
       const int i = node.track.index;
       const Coord y = grid.h_y(i);
-      const int j_first = std::max(w.j_lo, node.cross_lo);
-      const int j_last = std::min(w.j_hi, node.cross_hi);
+      const auto [j_first, j_last] =
+          crossings_in_window(grid.v_xs(), w.j_lo, w.j_hi, node.extent);
       for (int j = j_first; j <= j_last; ++j) {
         const Coord x = grid.v_x(j);
         if (node.parent == -1 && x == a.x) continue;
@@ -277,14 +287,12 @@ void run_mbfs(const tig::GridView& grid, const Point& a, const Point& b,
         SearchWorkspace::VisitSlot& slot =
             ws.visited_v[static_cast<std::size_t>(j)];
         if (visited_contains(slot, ws.generation, y)) continue;
-        int cl = 0;
-        int ch = -1;
-        const auto gap = grid.v_free_segment_span(j, y, &cl, &ch);
+        const auto gap = grid.v_free_segment(j, y);
         note_v(j, gap);
         if (!gap) continue;
         visit(slot, ws.arena, ws.generation, *gap);  // y ∉ visited ⇒ *gap is new
         const TrackRef t{Orientation::kVertical, j};
-        tree.nodes.push_back(TreeNode{t, *gap, p, n, node.depth + 1, cl, ch});
+        tree.nodes.push_back(TreeNode{t, *gap, p, n, node.depth + 1});
         ws.queue.push_back(static_cast<int>(tree.nodes.size()) - 1);
       }
     }

@@ -8,14 +8,17 @@
 /// immutable snapshot plus its private overlay (commit deltas + terminal
 /// braces). Both call the same MBFS/cost code, so that code takes a
 /// GridView: geometry queries always come from the base grid (overlays
-/// never change geometry), occupancy queries branch once on the overlay
-/// pointer. GridView converts implicitly from `const TrackGrid&`, so every
-/// pre-overlay call site compiles unchanged.
+/// never change geometry). For occupancy the view only picks which
+/// blocked set to read — the overlay's when present, the grid's otherwise
+/// — and asks it the same IntervalSet query TrackGrid does, so both
+/// surfaces answer bit-identically. GridView converts implicitly from
+/// `const TrackGrid&`, so every pre-overlay call site compiles unchanged.
 ///
 /// A view is two pointers — pass it by value. It does not own anything;
 /// both targets must outlive it.
 
 #include <optional>
+#include <vector>
 
 #include "tig/overlay.hpp"
 #include "tig/track_grid.hpp"
@@ -42,80 +45,53 @@ class GridView {
   geom::Coord v_x(int j) const { return grid_->v_x(j); }
   int nearest_h(geom::Coord y) const { return grid_->nearest_h(y); }
   int nearest_v(geom::Coord x) const { return grid_->nearest_v(x); }
-  int first_h_at_or_above(geom::Coord y) const {
-    return grid_->first_h_at_or_above(y);
-  }
-  int first_v_at_or_above(geom::Coord x) const {
-    return grid_->first_v_at_or_above(x);
-  }
-  int last_h_at_or_below(geom::Coord y) const {
-    return grid_->last_h_at_or_below(y);
-  }
-  int last_v_at_or_below(geom::Coord x) const {
-    return grid_->last_v_at_or_below(x);
-  }
+  const std::vector<geom::Coord>& h_ys() const { return grid_->h_ys(); }
+  const std::vector<geom::Coord>& v_xs() const { return grid_->v_xs(); }
   geom::Point crossing(int i, int j) const { return grid_->crossing(i, j); }
   geom::Interval h_span() const { return grid_->h_span(); }
   geom::Interval v_span() const { return grid_->v_span(); }
 
-  // ---- occupancy (dispatched to the overlay when present) -------------
+  // ---- occupancy (read from the overlay's set when present) ----------
+
+  const geom::IntervalSet& h_blocked(int i) const {
+    return overlay_ != nullptr ? overlay_->h_blocked(i) : grid_->h_blocked(i);
+  }
+  const geom::IntervalSet& v_blocked(int j) const {
+    return overlay_ != nullptr ? overlay_->v_blocked(j) : grid_->v_blocked(j);
+  }
 
   bool h_is_free(int i, const geom::Interval& span) const {
-    return overlay_ != nullptr ? overlay_->h_is_free(i, span)
-                               : grid_->h_is_free(i, span);
+    return h_blocked(i).is_free(span);
   }
   bool v_is_free(int j, const geom::Interval& span) const {
-    return overlay_ != nullptr ? overlay_->v_is_free(j, span)
-                               : grid_->v_is_free(j, span);
+    return v_blocked(j).is_free(span);
   }
 
   std::optional<geom::Interval> h_free_segment(int i, geom::Coord x) const {
-    return overlay_ != nullptr ? overlay_->h_free_segment(i, x)
-                               : grid_->h_free_segment(i, x);
+    return h_blocked(i).free_gap_containing(h_span(), x);
   }
   std::optional<geom::Interval> v_free_segment(int j, geom::Coord y) const {
-    return overlay_ != nullptr ? overlay_->v_free_segment(j, y)
-                               : grid_->v_free_segment(j, y);
-  }
-
-  std::optional<geom::Interval> h_free_segment_span(int i, geom::Coord x,
-                                                    int* j_first,
-                                                    int* j_last) const {
-    return overlay_ != nullptr
-               ? overlay_->h_free_segment_span(i, x, j_first, j_last)
-               : grid_->h_free_segment_span(i, x, j_first, j_last);
-  }
-  std::optional<geom::Interval> v_free_segment_span(int j, geom::Coord y,
-                                                    int* i_first,
-                                                    int* i_last) const {
-    return overlay_ != nullptr
-               ? overlay_->v_free_segment_span(j, y, i_first, i_last)
-               : grid_->v_free_segment_span(j, y, i_first, i_last);
+    return v_blocked(j).free_gap_containing(v_span(), y);
   }
 
   bool crossing_free(int i, int j) const {
-    return overlay_ != nullptr ? overlay_->crossing_free(i, j)
-                               : grid_->crossing_free(i, j);
+    return !h_blocked(i).contains(v_x(j)) && !v_blocked(j).contains(h_y(i));
   }
 
   std::optional<geom::Coord> h_distance_to_blocked(int i,
                                                    geom::Coord x) const {
-    return overlay_ != nullptr ? overlay_->h_distance_to_blocked(i, x)
-                               : grid_->h_distance_to_blocked(i, x);
+    return h_blocked(i).distance_to_nearest_blocked(x);
   }
   std::optional<geom::Coord> v_distance_to_blocked(int j,
                                                    geom::Coord y) const {
-    return overlay_ != nullptr ? overlay_->v_distance_to_blocked(j, y)
-                               : grid_->v_distance_to_blocked(j, y);
+    return v_blocked(j).distance_to_nearest_blocked(y);
   }
 
   double h_blocked_fraction(int i, const geom::Interval& span) const {
-    return overlay_ != nullptr ? overlay_->h_blocked_fraction(i, span)
-                               : grid_->h_blocked_fraction(i, span);
+    return blocked_fraction_of(h_blocked(i), span);
   }
   double v_blocked_fraction(int j, const geom::Interval& span) const {
-    return overlay_ != nullptr ? overlay_->v_blocked_fraction(j, span)
-                               : grid_->v_blocked_fraction(j, span);
+    return blocked_fraction_of(v_blocked(j), span);
   }
 
  private:

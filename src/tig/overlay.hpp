@@ -5,23 +5,22 @@
 ///
 /// The sharded engine's workers search the shared live grid, but each
 /// must unblock its own net's terminal crossings first. The overlay holds
-/// those private mutations without copying the grid: it answers the
-/// occupancy queries the MBFS search makes (free segments, distance to
-/// blockage, blocked fraction) from a small set of *touched* tracks — each
-/// a private IntervalSet copied from the base on first mutation — and
-/// delegates every untouched track to the base grid, whose warmed GapCache
-/// entries are pure reads safe to share across threads.
+/// those private mutations without copying the grid: a *touched* track
+/// gets a private IntervalSet copied from the base on first mutation, and
+/// every other track reads the base grid's set. The overlay only picks
+/// the set; GridView runs the occupancy queries over whichever set it
+/// gets.
 ///
 /// Identity argument: a touched track's IntervalSet is the base set with
-/// the same block/unblock ops a full grid copy would have applied, and the
-/// overlay computes its queries with the same IntervalSet primitives the
-/// TrackGrid uses when its gap cache is off — a path the gap-cache tests
-/// prove equivalent to the cached one. So (base + overlay) answers every
-/// query exactly as a mutated deep copy would, bit for bit.
+/// the same block/unblock ops a full grid copy would have applied, and
+/// GridView asks it the same IntervalSet queries the TrackGrid asks its
+/// own sets. So (base + overlay) answers every query exactly as a mutated
+/// deep copy would, bit for bit.
 ///
 /// Thread contract: an overlay belongs to one thread. The base grid must
-/// not be mutated, and its gap cache must be warm, while any overlay
-/// references it (the engine guarantees both for the length of a batch).
+/// not be mutated while any overlay references it (the engine guarantees
+/// that for the length of a batch); its const reads are pure, so any
+/// number of overlays may share it.
 ///
 /// Storage: the track→slot directories are chunked (64 tracks per chunk,
 /// default slot -1), so an overlay over a 100k-track grid allocates
@@ -30,8 +29,8 @@
 /// IntervalSets live in a pool that survives rebase — steady-state reuse
 /// recycles both the sets' run capacity and the directory chunks.
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "tig/track_grid.hpp"
@@ -63,35 +62,18 @@ class GridOverlay {
   void unblock_h(int i, const geom::Interval& span);
   void unblock_v(int j, const geom::Interval& span);
 
-  // ---- occupancy queries (same semantics as TrackGrid's) --------------
-
-  bool h_is_free(int i, const geom::Interval& span) const;
-  bool v_is_free(int j, const geom::Interval& span) const;
-
-  std::optional<geom::Interval> h_free_segment(int i, geom::Coord x) const;
-  std::optional<geom::Interval> v_free_segment(int j, geom::Coord y) const;
-
-  std::optional<geom::Interval> h_free_segment_span(int i, geom::Coord x,
-                                                    int* j_first,
-                                                    int* j_last) const;
-  std::optional<geom::Interval> v_free_segment_span(int j, geom::Coord y,
-                                                    int* i_first,
-                                                    int* i_last) const;
-
-  bool crossing_free(int i, int j) const;
-
-  std::optional<geom::Coord> h_distance_to_blocked(int i,
-                                                   geom::Coord x) const;
-  std::optional<geom::Coord> v_distance_to_blocked(int j,
-                                                   geom::Coord y) const;
-
-  double h_blocked_fraction(int i, const geom::Interval& span) const;
-  double v_blocked_fraction(int j, const geom::Interval& span) const;
-
   /// The effective blocked set of a track: the private delta when touched,
-  /// the base's otherwise (tests and diagnostics).
-  const geom::IntervalSet& h_blocked(int i) const;
-  const geom::IntervalSet& v_blocked(int j) const;
+  /// the base's otherwise. GridView's occupancy queries read this.
+  const geom::IntervalSet& h_blocked(int i) const {
+    const std::int32_t slot = h_slot_.at(static_cast<std::size_t>(i));
+    return slot < 0 ? base_->h_blocked(i)
+                    : entries_[static_cast<std::size_t>(slot)];
+  }
+  const geom::IntervalSet& v_blocked(int j) const {
+    const std::int32_t slot = v_slot_.at(static_cast<std::size_t>(j));
+    return slot < 0 ? base_->v_blocked(j)
+                    : entries_[static_cast<std::size_t>(slot)];
+  }
 
  private:
   /// Index of track \p i's private set in entries_, materializing a copy

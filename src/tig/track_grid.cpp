@@ -40,7 +40,6 @@ TrackGrid::TrackGrid(std::vector<geom::Coord> h_ys,
              "vertical tracks must lie inside the extent");
   h_blocked_.reset(h_ys_.size());
   v_blocked_.reset(v_xs_.size());
-  gap_cache_.reset(h_ys_.size(), v_xs_.size());
 }
 
 TrackGrid TrackGrid::uniform(const geom::Rect& extent, geom::Coord h_pitch,
@@ -93,24 +92,20 @@ int TrackGrid::last_v_at_or_below(geom::Coord x) const {
 
 void TrackGrid::block_h(int i, const geom::Interval& span) {
   h_blocked_.touch(static_cast<std::size_t>(i)).add(span);
-  gap_cache_.on_block_h(static_cast<std::size_t>(i), span);
 }
 
 void TrackGrid::block_v(int j, const geom::Interval& span) {
   v_blocked_.touch(static_cast<std::size_t>(j)).add(span);
-  gap_cache_.on_block_v(static_cast<std::size_t>(j), span);
 }
 
 void TrackGrid::unblock_h(int i, const geom::Interval& span) {
   // An absent chunk means the track was never blocked — removing from an
   // empty set is a no-op, so skip the materialization entirely.
   if (auto* s = h_blocked_.find(static_cast<std::size_t>(i))) s->remove(span);
-  gap_cache_.on_unblock_h(static_cast<std::size_t>(i), span, h_span());
 }
 
 void TrackGrid::unblock_v(int j, const geom::Interval& span) {
   if (auto* s = v_blocked_.find(static_cast<std::size_t>(j))) s->remove(span);
-  gap_cache_.on_unblock_v(static_cast<std::size_t>(j), span, v_span());
 }
 
 void TrackGrid::block_region_h(const geom::Rect& region) {
@@ -129,74 +124,45 @@ void TrackGrid::block_region_v(const geom::Rect& region) {
 }
 
 bool TrackGrid::h_is_free(int i, const geom::Interval& span) const {
-  return h_blocked_.at(static_cast<std::size_t>(i)).is_free(span);
+  return h_blocked(i).is_free(span);
 }
 
 bool TrackGrid::v_is_free(int j, const geom::Interval& span) const {
-  return v_blocked_.at(static_cast<std::size_t>(j)).is_free(span);
+  return v_blocked(j).is_free(span);
 }
 
 std::optional<geom::Interval> TrackGrid::h_free_segment(
     int i, geom::Coord x) const {
-  const auto idx = static_cast<std::size_t>(i);
-  if (GapCache::enabled()) {
-    return gap_cache_.h_gap(idx, h_blocked_.at(idx), h_span(), x);
-  }
-  return h_blocked_.at(idx).free_gap_containing(h_span(), x);
+  return h_blocked(i).free_gap_containing(h_span(), x);
 }
 
 std::optional<geom::Interval> TrackGrid::v_free_segment(
     int j, geom::Coord y) const {
-  const auto idx = static_cast<std::size_t>(j);
-  if (GapCache::enabled()) {
-    return gap_cache_.v_gap(idx, v_blocked_.at(idx), v_span(), y);
-  }
-  return v_blocked_.at(idx).free_gap_containing(v_span(), y);
+  return v_blocked(j).free_gap_containing(v_span(), y);
 }
 
-std::optional<geom::Interval> TrackGrid::h_free_segment_span(
-    int i, geom::Coord x, int* j_first, int* j_last) const {
-  const auto idx = static_cast<std::size_t>(i);
-  if (GapCache::enabled()) {
-    return gap_cache_.h_gap_span(idx, h_blocked_.at(idx), h_span(), v_xs_, x,
-                                 j_first, j_last);
-  }
-  const auto gap = h_blocked_.at(idx).free_gap_containing(h_span(), x);
-  if (gap) {
-    *j_first = first_v_at_or_above(gap->lo);
-    *j_last = last_v_at_or_below(gap->hi);
-  }
-  return gap;
+bool TrackGrid::crossing_free(int i, int j) const {
+  return !h_blocked(i).contains(v_x(j)) && !v_blocked(j).contains(h_y(i));
 }
 
-std::optional<geom::Interval> TrackGrid::v_free_segment_span(
-    int j, geom::Coord y, int* i_first, int* i_last) const {
-  const auto idx = static_cast<std::size_t>(j);
-  if (GapCache::enabled()) {
-    return gap_cache_.v_gap_span(idx, v_blocked_.at(idx), v_span(), h_ys_, y,
-                                 i_first, i_last);
-  }
-  const auto gap = v_blocked_.at(idx).free_gap_containing(v_span(), y);
-  if (gap) {
-    *i_first = first_h_at_or_above(gap->lo);
-    *i_last = last_h_at_or_below(gap->hi);
-  }
-  return gap;
+std::optional<geom::Coord> TrackGrid::h_distance_to_blocked(
+    int i, geom::Coord x) const {
+  return h_blocked(i).distance_to_nearest_blocked(x);
 }
 
-void TrackGrid::warm_gap_cache() const {
-  if (!GapCache::enabled()) return;
-  // Only blocked tracks need a materialized entry: queries on empty
-  // tracks take the cache's universe fast path, which is already a pure
-  // read. Walking present chunks keeps warming O(touched), not O(grid).
-  h_blocked_.for_each_present([this](std::size_t i,
-                                     const geom::IntervalSet& blocked) {
-    if (!blocked.empty()) gap_cache_.warm_h(i, blocked, h_span(), v_xs_);
-  });
-  v_blocked_.for_each_present([this](std::size_t j,
-                                     const geom::IntervalSet& blocked) {
-    if (!blocked.empty()) gap_cache_.warm_v(j, blocked, v_span(), h_ys_);
-  });
+std::optional<geom::Coord> TrackGrid::v_distance_to_blocked(
+    int j, geom::Coord y) const {
+  return v_blocked(j).distance_to_nearest_blocked(y);
+}
+
+double TrackGrid::h_blocked_fraction(int i,
+                                     const geom::Interval& span) const {
+  return blocked_fraction_of(h_blocked(i), span);
+}
+
+double TrackGrid::v_blocked_fraction(int j,
+                                     const geom::Interval& span) const {
+  return blocked_fraction_of(v_blocked(j), span);
 }
 
 std::size_t TrackGrid::grid_bytes() const {
@@ -208,24 +174,7 @@ std::size_t TrackGrid::grid_bytes() const {
   };
   h_blocked_.for_each_present(add_runs);
   v_blocked_.for_each_present(add_runs);
-  return bytes + gap_cache_.storage_bytes();
-}
-
-bool TrackGrid::crossing_free(int i, int j) const {
-  return !h_blocked_.at(static_cast<std::size_t>(i)).contains(v_x(j)) &&
-         !v_blocked_.at(static_cast<std::size_t>(j)).contains(h_y(i));
-}
-
-std::optional<geom::Coord> TrackGrid::h_distance_to_blocked(
-    int i, geom::Coord x) const {
-  return h_blocked_.at(static_cast<std::size_t>(i))
-      .distance_to_nearest_blocked(x);
-}
-
-std::optional<geom::Coord> TrackGrid::v_distance_to_blocked(
-    int j, geom::Coord y) const {
-  return v_blocked_.at(static_cast<std::size_t>(j))
-      .distance_to_nearest_blocked(y);
+  return bytes;
 }
 
 double blocked_fraction_of(const geom::IntervalSet& blocked,
@@ -243,18 +192,6 @@ double blocked_fraction_of(const geom::IntervalSet& blocked,
     covered += std::min(it->hi, span.hi) - std::max(it->lo, span.lo);
   }
   return static_cast<double>(covered) / static_cast<double>(span.length());
-}
-
-double TrackGrid::h_blocked_fraction(int i,
-                                     const geom::Interval& span) const {
-  return blocked_fraction_of(h_blocked_.at(static_cast<std::size_t>(i)),
-                             span);
-}
-
-double TrackGrid::v_blocked_fraction(int j,
-                                     const geom::Interval& span) const {
-  return blocked_fraction_of(v_blocked_.at(static_cast<std::size_t>(j)),
-                             span);
 }
 
 }  // namespace ocr::tig

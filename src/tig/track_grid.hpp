@@ -8,7 +8,9 @@
 /// that can have different spacing" (§3). Horizontal tracks carry metal3,
 /// vertical tracks metal4. Obstacles (power straps, keep-outs, committed
 /// wires) block extents of tracks; the free structure of each track is an
-/// IntervalSet queried by the router.
+/// IntervalSet queried by the router. Every const query reads those sets
+/// and nothing else, so a grid that nobody mutates may be read from any
+/// number of threads at once.
 
 #include <cstddef>
 #include <optional>
@@ -17,7 +19,6 @@
 #include "geom/interval_set.hpp"
 #include "geom/point.hpp"
 #include "geom/rect.hpp"
-#include "tig/gap_cache.hpp"
 #include "util/chunked.hpp"
 
 namespace ocr::tig {
@@ -52,6 +53,10 @@ class TrackGrid {
 
   geom::Coord h_y(int i) const { return h_ys_[static_cast<std::size_t>(i)]; }
   geom::Coord v_x(int j) const { return v_xs_[static_cast<std::size_t>(j)]; }
+  /// The ascending coordinate arrays behind h_y/v_x, for callers that
+  /// binary-search a slice of them (the MBFS window clip).
+  const std::vector<geom::Coord>& h_ys() const { return h_ys_; }
+  const std::vector<geom::Coord>& v_xs() const { return v_xs_; }
 
   /// Index of the track nearest to the given coordinate (ties -> lower).
   int nearest_h(geom::Coord y) const;
@@ -101,19 +106,6 @@ class TrackGrid {
   std::optional<geom::Interval> h_free_segment(int i, geom::Coord x) const;
   std::optional<geom::Interval> v_free_segment(int j, geom::Coord y) const;
 
-  /// h_free_segment, additionally reporting the index range of the
-  /// crossing (perpendicular) tracks whose coordinate lies inside the
-  /// gap: [*j_first, *j_last], empty when j_first > j_last. Untouched on
-  /// a miss. Exactly first_v_at_or_above(gap.lo) / last_v_at_or_below(
-  /// gap.hi), but memoized per gap when the gap cache is on — the MBFS
-  /// expansion loop's iteration bounds without per-node binary searches.
-  std::optional<geom::Interval> h_free_segment_span(int i, geom::Coord x,
-                                                    int* j_first,
-                                                    int* j_last) const;
-  std::optional<geom::Interval> v_free_segment_span(int j, geom::Coord y,
-                                                    int* i_first,
-                                                    int* i_last) const;
-
   /// Whether the crossing of tracks (i, j) is free on both tracks.
   bool crossing_free(int i, int j) const;
 
@@ -141,17 +133,9 @@ class TrackGrid {
   geom::Interval h_span() const { return extent_.x_span(); }
   geom::Interval v_span() const { return extent_.y_span(); }
 
-  /// Materializes the free-gap cache entry of every *blocked* track so
-  /// subsequent free-segment queries are pure reads (untouched tracks are
-  /// answered by the cache's universe fast path, also a pure read).
-  /// Required before sharing a const grid across threads (the sharded
-  /// engine warms before each multi-worker batch); a no-op when the cache
-  /// is globally disabled.
-  void warm_gap_cache() const;
-
   /// Heap bytes of the occupancy state: blocked-set chunk storage, the
-  /// IntervalSet runs inside it, the gap cache, and the track coordinate
-  /// arrays. The `tig.grid_bytes` observability gauge.
+  /// IntervalSet runs inside it, and the track coordinate arrays. The
+  /// `tig.grid_bytes` observability gauge.
   std::size_t grid_bytes() const;
 
   /// Materialized 64-track chunks across both blocked-set directories
@@ -166,15 +150,11 @@ class TrackGrid {
   geom::Rect extent_;
   util::ChunkedVector<geom::IntervalSet> h_blocked_;
   util::ChunkedVector<geom::IntervalSet> v_blocked_;
-  /// Free-gap memo, one entry per track; mutable because it back-fills
-  /// under const queries (see GapCache's thread contract). Copies carry
-  /// their warm entries with them, so worker-local grid copies start hot.
-  mutable GapCache gap_cache_;
 };
 
 /// Fraction of \p span covered by the blocked runs of \p blocked — the
 /// exact computation behind TrackGrid::h/v_blocked_fraction, shared with
-/// GridOverlay so both answer bit-identically.
+/// GridView so both answer bit-identically.
 double blocked_fraction_of(const geom::IntervalSet& blocked,
                            const geom::Interval& span);
 

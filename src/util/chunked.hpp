@@ -5,9 +5,9 @@
 ///
 /// The 100k-net instances put the dense per-track containers out of
 /// business: a TrackGrid over a 200k-dbu die carries ~40k tracks, and a
-/// dense `std::vector<IntervalSet>` (or GapCache entry array, or overlay
-/// slot array) pays construction, copy and cache-miss cost for every one
-/// of them even though a single net's search touches a few dozen. The
+/// dense `std::vector<IntervalSet>` (or overlay slot array) pays
+/// construction, copy and cache-miss cost for every one of them even
+/// though a single net's search touches a few dozen. The
 /// ChunkedVector keeps only a directory of chunk pointers; a chunk
 /// (64 consecutive indices) exists once something in it has been written.
 /// Reads of absent indices answer with a shared default value, writes

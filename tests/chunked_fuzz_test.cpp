@@ -51,15 +51,6 @@ void expect_h_equal(const TrackGrid& grid, const DenseRef& ref, int i,
   if (gap.has_value()) {
     EXPECT_EQ(got->lo, gap->lo);
     EXPECT_EQ(got->hi, gap->hi);
-    // The span variant must report exactly the binary-search index range.
-    int j_first = 0, j_last = -1;
-    const std::optional<Interval> span_gap =
-        grid.h_free_segment_span(i, x, &j_first, &j_last);
-    ASSERT_TRUE(span_gap.has_value());
-    EXPECT_EQ(span_gap->lo, gap->lo);
-    EXPECT_EQ(span_gap->hi, gap->hi);
-    EXPECT_EQ(j_first, grid.first_v_at_or_above(gap->lo));
-    EXPECT_EQ(j_last, grid.last_v_at_or_below(gap->hi));
   }
   EXPECT_EQ(grid.h_is_free(i, Interval{x, x}), gap.has_value());
 }

@@ -1,13 +1,14 @@
 /// \file grid_overlay_test.cpp
-/// \brief GridOverlay equivalence: a (base grid + overlay) pair must
-/// answer every occupancy query exactly as a mutated deep copy — fuzzed
-/// over randomized block/brace sequences, plus targeted brace and rebase
-/// cases mirroring the engine's batch workers.
+/// \brief GridOverlay equivalence: a GridView over (base grid + overlay)
+/// must answer every occupancy query exactly as a mutated deep copy —
+/// fuzzed over randomized block/brace sequences, plus targeted brace and
+/// rebase cases mirroring the engine's batch workers.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "tig/grid_view.hpp"
 #include "tig/overlay.hpp"
 #include "util/rng.hpp"
 
@@ -28,60 +29,45 @@ Interval random_span(util::Rng& rng, Coord size) {
   return Interval(std::min(a, b), std::max(a, b));
 }
 
-/// Asserts every query type answers identically on the overlay and the
-/// reference grid (the deep copy the overlay replaces).
+/// Asserts every query type answers identically through a view of the
+/// overlay and on the reference grid (the deep copy the overlay replaces).
 void expect_equivalent(const GridOverlay& overlay, const TrackGrid& ref,
                        util::Rng& rng, Coord size) {
+  const GridView view(overlay);
   for (int i = 0; i < ref.num_h(); ++i) {
-    ASSERT_EQ(overlay.h_blocked(i).runs(), ref.h_blocked(i).runs())
+    ASSERT_EQ(view.h_blocked(i).runs(), ref.h_blocked(i).runs())
         << "h track " << i;
     for (int probe = 0; probe < 4; ++probe) {
       const Coord x = rng.uniform_int(0, size - 1);
-      EXPECT_EQ(overlay.h_free_segment(i, x), ref.h_free_segment(i, x))
+      EXPECT_EQ(view.h_free_segment(i, x), ref.h_free_segment(i, x))
           << "h track " << i << " x=" << x;
-      int of = -7, ol = -7, rf = -7, rl = -7;
-      const auto oseg = overlay.h_free_segment_span(i, x, &of, &ol);
-      const auto rseg = ref.h_free_segment_span(i, x, &rf, &rl);
-      EXPECT_EQ(oseg, rseg);
-      if (oseg.has_value() && rseg.has_value()) {
-        EXPECT_EQ(of, rf);
-        EXPECT_EQ(ol, rl);
-      }
-      EXPECT_EQ(overlay.h_distance_to_blocked(i, x),
+      EXPECT_EQ(view.h_distance_to_blocked(i, x),
                 ref.h_distance_to_blocked(i, x));
       const Interval span = random_span(rng, size);
-      EXPECT_EQ(overlay.h_is_free(i, span), ref.h_is_free(i, span));
-      EXPECT_EQ(overlay.h_blocked_fraction(i, span),
+      EXPECT_EQ(view.h_is_free(i, span), ref.h_is_free(i, span));
+      EXPECT_EQ(view.h_blocked_fraction(i, span),
                 ref.h_blocked_fraction(i, span));
     }
   }
   for (int j = 0; j < ref.num_v(); ++j) {
-    ASSERT_EQ(overlay.v_blocked(j).runs(), ref.v_blocked(j).runs())
+    ASSERT_EQ(view.v_blocked(j).runs(), ref.v_blocked(j).runs())
         << "v track " << j;
     for (int probe = 0; probe < 4; ++probe) {
       const Coord y = rng.uniform_int(0, size - 1);
-      EXPECT_EQ(overlay.v_free_segment(j, y), ref.v_free_segment(j, y))
+      EXPECT_EQ(view.v_free_segment(j, y), ref.v_free_segment(j, y))
           << "v track " << j << " y=" << y;
-      int of = -7, ol = -7, rf = -7, rl = -7;
-      const auto oseg = overlay.v_free_segment_span(j, y, &of, &ol);
-      const auto rseg = ref.v_free_segment_span(j, y, &rf, &rl);
-      EXPECT_EQ(oseg, rseg);
-      if (oseg.has_value() && rseg.has_value()) {
-        EXPECT_EQ(of, rf);
-        EXPECT_EQ(ol, rl);
-      }
-      EXPECT_EQ(overlay.v_distance_to_blocked(j, y),
+      EXPECT_EQ(view.v_distance_to_blocked(j, y),
                 ref.v_distance_to_blocked(j, y));
       const Interval span = random_span(rng, size);
-      EXPECT_EQ(overlay.v_is_free(j, span), ref.v_is_free(j, span));
-      EXPECT_EQ(overlay.v_blocked_fraction(j, span),
+      EXPECT_EQ(view.v_is_free(j, span), ref.v_is_free(j, span));
+      EXPECT_EQ(view.v_blocked_fraction(j, span),
                 ref.v_blocked_fraction(j, span));
     }
   }
   for (int probe = 0; probe < 32; ++probe) {
     const int i = static_cast<int>(rng.uniform_int(0, ref.num_h() - 1));
     const int j = static_cast<int>(rng.uniform_int(0, ref.num_v() - 1));
-    EXPECT_EQ(overlay.crossing_free(i, j), ref.crossing_free(i, j));
+    EXPECT_EQ(view.crossing_free(i, j), ref.crossing_free(i, j));
   }
 }
 
@@ -98,7 +84,6 @@ TEST(GridOverlay, UntouchedOverlayMatchesBase) {
                    random_span(rng, size));
     }
   }
-  base.warm_gap_cache();
   GridOverlay overlay(&base);
   EXPECT_EQ(overlay.touched_tracks(), 0u);
   expect_equivalent(overlay, base, rng, size);
@@ -122,8 +107,7 @@ TEST(GridOverlay, FuzzMutationSequencesMatchDeepCopy) {
                      random_span(rng, size));
       }
     }
-    base.warm_gap_cache();
-
+  
     TrackGrid copy = base;  // the worker's old per-epoch deep copy
     GridOverlay overlay(&base);
     for (int step = 0; step < 40; ++step) {
@@ -170,14 +154,13 @@ TEST(GridOverlay, BraceRoundTripLeavesQueriesAtBase) {
   TrackGrid base = make_grid(size);
   base.block_h(3, Interval(0, size));
   base.block_v(4, Interval(0, size));
-  base.warm_gap_cache();
   GridOverlay overlay(&base);
 
   const Coord x = base.v_x(4);
   const Coord y = base.h_y(3);
   overlay.unblock_h(3, Interval(x, x));
   overlay.unblock_v(4, Interval(y, y));
-  EXPECT_TRUE(overlay.crossing_free(3, 4));
+  EXPECT_TRUE(GridView(overlay).crossing_free(3, 4));
   overlay.block_h(3, Interval(x, x));
   overlay.block_v(4, Interval(y, y));
   expect_equivalent(overlay, base, rng, size);
@@ -187,16 +170,15 @@ TEST(GridOverlay, RebaseDropsDeltasInOTouched) {
   util::Rng rng(3);
   const Coord size = 200;
   TrackGrid base = make_grid(size);
-  base.warm_gap_cache();
   GridOverlay overlay(&base);
   overlay.block_h(2, Interval(10, 50));
   overlay.block_v(5, Interval(20, 80));
   EXPECT_EQ(overlay.touched_tracks(), 2u);
-  EXPECT_FALSE(overlay.h_is_free(2, Interval(10, 50)));
+  EXPECT_FALSE(GridView(overlay).h_is_free(2, Interval(10, 50)));
 
   overlay.rebase(&base);
   EXPECT_EQ(overlay.touched_tracks(), 0u);
-  EXPECT_TRUE(overlay.h_is_free(2, Interval(10, 50)));
+  EXPECT_TRUE(GridView(overlay).h_is_free(2, Interval(10, 50)));
   expect_equivalent(overlay, base, rng, size);
 }
 

@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <optional>
+#include <thread>
+#include <vector>
+
 #include "tig/graph.hpp"
 #include "tig/track_grid.hpp"
+#include "util/rng.hpp"
 
 namespace ocr::tig {
 namespace {
@@ -103,6 +110,186 @@ TEST(TrackGrid, BlockedFraction) {
   g.block_h(0, Interval(0, 20));
   EXPECT_DOUBLE_EQ(g.h_blocked_fraction(0, Interval(0, 40)), 0.5);
   EXPECT_DOUBLE_EQ(g.h_blocked_fraction(0, Interval(0, 20)), 1.0);
+}
+
+/// Shadow occupancy of one track over the universe [0, 100]: one flag
+/// per integer coordinate, mutated by the same history as the grid and
+/// sharing no code with IntervalSet.
+struct ShadowTrack {
+  std::array<bool, 101> blocked{};
+
+  void set(const Interval& span, bool value) {
+    for (geom::Coord c = std::max<geom::Coord>(0, span.lo);
+         c <= std::min<geom::Coord>(100, span.hi); ++c) {
+      blocked[static_cast<std::size_t>(c)] = value;
+    }
+  }
+  bool at(geom::Coord c) const { return blocked[static_cast<std::size_t>(c)]; }
+
+  /// The maximal free gap containing \p v, by walking outward flag by flag.
+  std::optional<Interval> gap(geom::Coord v) const {
+    if (v < 0 || v > 100 || at(v)) return std::nullopt;
+    geom::Coord lo = v;
+    geom::Coord hi = v;
+    while (lo > 0 && !at(lo - 1)) --lo;
+    while (hi < 100 && !at(hi + 1)) ++hi;
+    return Interval(lo, hi);
+  }
+
+  /// The maximal blocked runs, in ascending order.
+  std::vector<Interval> runs() const {
+    std::vector<Interval> out;
+    for (geom::Coord c = 0; c <= 100; ++c) {
+      if (!at(c)) continue;
+      geom::Coord hi = c;
+      while (hi < 100 && at(hi + 1)) ++hi;
+      out.emplace_back(c, hi);
+      c = hi;
+    }
+    return out;
+  }
+};
+
+/// A 10 x 10-track grid whose tracks all span the universe [0, 100].
+TrackGrid hundred_grid() {
+  return TrackGrid::uniform(Rect(0, 0, 100, 100), 10, 10);
+}
+
+void expect_h_matches(const TrackGrid& grid, int i, const ShadowTrack& ref,
+                      geom::Coord v) {
+  EXPECT_EQ(grid.h_blocked(i).runs(), ref.runs()) << "h" << i;
+  EXPECT_EQ(grid.h_free_segment(i, v), ref.gap(v)) << "h" << i << " @" << v;
+}
+
+void expect_v_matches(const TrackGrid& grid, int j, const ShadowTrack& ref,
+                      geom::Coord v) {
+  EXPECT_EQ(grid.v_blocked(j).runs(), ref.runs()) << "v" << j;
+  EXPECT_EQ(grid.v_free_segment(j, v), ref.gap(v)) << "v" << j << " @" << v;
+}
+
+TEST(TrackGrid, BlockUnblockHistoriesMatchBruteForceGaps) {
+  {
+    // A scripted history of every shape: split a gap in two, trim its
+    // ends, erase it, re-open one point, and merge across boundaries.
+    TrackGrid grid = hundred_grid();
+    ShadowTrack ref;
+    const auto block = [&](const Interval& span) {
+      grid.block_h(3, span);
+      ref.set(span, true);
+    };
+    const auto unblock = [&](const Interval& span) {
+      grid.unblock_h(3, span);
+      ref.set(span, false);
+    };
+    block(Interval(20, 40));
+    block(Interval(0, 5));
+    block(Interval(90, 100));
+    block(Interval(41, 60));
+    block(Interval(10, 15));
+    unblock(Interval(20, 40));
+    for (geom::Coord x = -1; x <= 101; ++x) expect_h_matches(grid, 3, ref, x);
+    block(Interval(0, 100));
+    unblock(Interval(30, 30));
+    for (geom::Coord x = -1; x <= 101; ++x) expect_h_matches(grid, 3, ref, x);
+    unblock(Interval(0, 100));
+    for (geom::Coord x = -1; x <= 101; ++x) expect_h_matches(grid, 3, ref, x);
+  }
+  util::Rng rng(2026);
+  for (int trial = 0; trial < 20; ++trial) {
+    TrackGrid grid = hundred_grid();
+    std::vector<ShadowTrack> ref_h(static_cast<std::size_t>(grid.num_h()));
+    std::vector<ShadowTrack> ref_v(static_cast<std::size_t>(grid.num_v()));
+    for (int step = 0; step < 80; ++step) {
+      const int i = static_cast<int>(rng.uniform_int(0, grid.num_h() - 1));
+      const int j = static_cast<int>(rng.uniform_int(0, grid.num_v() - 1));
+      const geom::Coord lo = rng.uniform_int(0, 100);
+      const geom::Coord hi =
+          std::min<geom::Coord>(100, lo + rng.uniform_int(0, 25));
+      const Interval span(lo, hi);
+      ShadowTrack& th = ref_h[static_cast<std::size_t>(i)];
+      ShadowTrack& tv = ref_v[static_cast<std::size_t>(j)];
+      switch (rng.uniform_int(0, 3)) {
+        case 0: grid.block_h(i, span); th.set(span, true); break;
+        case 1: grid.unblock_h(i, span); th.set(span, false); break;
+        case 2: grid.block_v(j, span); tv.set(span, true); break;
+        default: grid.unblock_v(j, span); tv.set(span, false); break;
+      }
+      // Probe the mutated tracks at a handful of points each step,
+      // including just outside the universe.
+      for (int probe = 0; probe < 6; ++probe) {
+        const geom::Coord q = rng.uniform_int(-2, 102);
+        expect_h_matches(grid, i, th, q);
+        expect_v_matches(grid, j, tv, q);
+      }
+    }
+  }
+}
+
+TEST(TrackGrid, AlreadyBlockedAndAlreadyFreeSpansAreNoOps) {
+  TrackGrid grid = hundred_grid();
+  grid.block_h(2, Interval(30, 70));
+  const std::vector<Interval> before = grid.h_blocked(2).runs();
+  grid.block_h(2, Interval(40, 50));    // inside an already-blocked run
+  grid.unblock_h(2, Interval(80, 90));  // inside an already-free gap
+  grid.unblock_v(5, Interval(0, 100));  // a never-blocked track
+  EXPECT_EQ(grid.h_blocked(2).runs(), before);
+  EXPECT_TRUE(grid.v_blocked(5).empty());
+  ShadowTrack ref;
+  ref.set(Interval(30, 70), true);
+  for (geom::Coord x = -1; x <= 101; ++x) expect_h_matches(grid, 2, ref, x);
+}
+
+TEST(TrackGrid, ConcurrentConstReadersShareOneGrid) {
+  // Const queries read the blocked runs and nothing else, so threads may
+  // share a grid nobody mutates with no preparation step (the sharded
+  // engine's batch contract). Under TSan this proves the reads race-free;
+  // everywhere it checks each thread sees the single-threaded answers.
+  TrackGrid grid = hundred_grid();
+  grid.block_h(4, Interval(25, 75));
+  grid.block_h(4, Interval(90, 92));
+  grid.block_v(6, Interval(10, 50));
+  grid.block_region_h(Rect(0, 30, 40, 60));
+  const TrackGrid& shared = grid;
+
+  struct Probe {
+    int i, j;
+    geom::Coord q;
+    std::optional<Interval> h_gap, v_gap;
+    std::optional<geom::Coord> h_dist;
+    bool crossing;
+  };
+  util::Rng rng(99);
+  std::vector<Probe> probes;
+  for (int k = 0; k < 500; ++k) {
+    Probe p{};
+    p.i = static_cast<int>(rng.uniform_int(0, shared.num_h() - 1));
+    p.j = static_cast<int>(rng.uniform_int(0, shared.num_v() - 1));
+    p.q = rng.uniform_int(0, 100);
+    p.h_gap = shared.h_free_segment(p.i, p.q);
+    p.v_gap = shared.v_free_segment(p.j, p.q);
+    p.h_dist = shared.h_distance_to_blocked(p.i, p.q);
+    p.crossing = shared.crossing_free(p.i, p.j);
+    probes.push_back(p);
+  }
+
+  std::vector<int> mismatches(8, 0);
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 8; ++t) {
+    readers.emplace_back([&shared, &probes, &mismatches, t] {
+      for (int round = 0; round < 4; ++round) {
+        for (const Probe& p : probes) {
+          const bool same =
+              shared.h_free_segment(p.i, p.q) == p.h_gap &&
+              shared.v_free_segment(p.j, p.q) == p.v_gap &&
+              shared.h_distance_to_blocked(p.i, p.q) == p.h_dist &&
+              shared.crossing_free(p.i, p.j) == p.crossing;
+          mismatches[static_cast<std::size_t>(t)] += same ? 0 : 1;
+        }
+      }
+    });
+  }
+  for (std::thread& r : readers) r.join();
+  for (int t = 0; t < 8; ++t) EXPECT_EQ(mismatches[t], 0) << "thread " << t;
 }
 
 TEST(Graph, CompleteWithoutObstacles) {
