@@ -167,33 +167,34 @@ void expect_v_matches(const TrackGrid& grid, int j, const ShadowTrack& ref,
   EXPECT_EQ(grid.v_free_segment(j, v), ref.gap(v)) << "v" << j << " @" << v;
 }
 
-TEST(TrackGrid, BlockUnblockHistoriesMatchBruteForceGaps) {
-  {
-    // A scripted history of every shape: split a gap in two, trim its
-    // ends, erase it, re-open one point, and merge across boundaries.
-    TrackGrid grid = hundred_grid();
-    ShadowTrack ref;
-    const auto block = [&](const Interval& span) {
-      grid.block_h(3, span);
-      ref.set(span, true);
-    };
-    const auto unblock = [&](const Interval& span) {
-      grid.unblock_h(3, span);
-      ref.set(span, false);
-    };
-    block(Interval(20, 40));
-    block(Interval(0, 5));
-    block(Interval(90, 100));
-    block(Interval(41, 60));
-    block(Interval(10, 15));
-    unblock(Interval(20, 40));
-    for (geom::Coord x = -1; x <= 101; ++x) expect_h_matches(grid, 3, ref, x);
-    block(Interval(0, 100));
-    unblock(Interval(30, 30));
-    for (geom::Coord x = -1; x <= 101; ++x) expect_h_matches(grid, 3, ref, x);
-    unblock(Interval(0, 100));
-    for (geom::Coord x = -1; x <= 101; ++x) expect_h_matches(grid, 3, ref, x);
-  }
+TEST(TrackGrid, BlockUnblockSequencesMatchBruteForceGaps) {
+  // A scripted history of every shape: split a gap in two, trim its
+  // ends, erase it, re-open one point, and merge across boundaries.
+  TrackGrid grid = hundred_grid();
+  ShadowTrack ref;
+  const auto block = [&](const Interval& span) {
+    grid.block_h(3, span);
+    ref.set(span, true);
+  };
+  const auto unblock = [&](const Interval& span) {
+    grid.unblock_h(3, span);
+    ref.set(span, false);
+  };
+  block(Interval(20, 40));
+  block(Interval(0, 5));
+  block(Interval(90, 100));
+  block(Interval(41, 60));
+  block(Interval(10, 15));
+  unblock(Interval(20, 40));
+  for (geom::Coord x = -1; x <= 101; ++x) expect_h_matches(grid, 3, ref, x);
+  block(Interval(0, 100));
+  unblock(Interval(30, 30));
+  for (geom::Coord x = -1; x <= 101; ++x) expect_h_matches(grid, 3, ref, x);
+  unblock(Interval(0, 100));
+  for (geom::Coord x = -1; x <= 101; ++x) expect_h_matches(grid, 3, ref, x);
+}
+
+TEST(TrackGrid, RandomizedHistoryMatchesBruteForceGaps) {
   util::Rng rng(2026);
   for (int trial = 0; trial < 20; ++trial) {
     TrackGrid grid = hundred_grid();
